@@ -12,8 +12,6 @@ from .bijection import (
 )
 from .classes import (
     ClassParams,
-    count_A,
-    count_B,
     count_partitions,
     enumerate_A,
     enumerate_B,
@@ -27,7 +25,6 @@ from .qseries import (
     TruncatedSeries,
     first_difference,
     lhs_series,
-    pochhammer,
     rhs_series,
     solutionI_check,
 )
@@ -42,8 +39,6 @@ __all__ = [
     "Partition",
     "PochhammerSpec",
     "TruncatedSeries",
-    "count_A",
-    "count_B",
     "count_partitions",
     "enumerate_A",
     "enumerate_B",
@@ -58,7 +53,6 @@ __all__ = [
     "lhs_series",
     "phi",
     "phi_inverse",
-    "pochhammer",
     "rhs_series",
     "solutionI_check",
 ]

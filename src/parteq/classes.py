@@ -12,8 +12,7 @@ B(n,k,d,m), branching on m vs k:
 
 Enumeration is by brute force over all partitions of n in descending
 lexicographic order of part sequences, guarded by a configurable budget.
-Counting streams the enumerators, so counter and enumerator cannot
-disagree; the independent count comes from the q-series module.
+The independent count comes from the q-series module.
 """
 
 from __future__ import annotations
@@ -62,10 +61,15 @@ class ClassParams:
 
 def effective_budget(budget: int | None = None) -> int:
     """Resolve the enumeration cap: explicit arg, else PARTEQ_BUDGET, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("PARTEQ_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if budget is None:
+        env = os.environ.get("PARTEQ_BUDGET")
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def count_partitions(n: int, max_part: int | None = None) -> int:
@@ -160,10 +164,3 @@ def enumerate_B(params: ClassParams, budget: int | None = None) -> Iterator[Part
         if is_in_B(p, params):
             yield p
 
-
-def count_A(params: ClassParams, budget: int | None = None) -> int:
-    return sum(1 for _ in enumerate_A(params, budget=budget))
-
-
-def count_B(params: ClassParams, budget: int | None = None) -> int:
-    return sum(1 for _ in enumerate_B(params, budget=budget))

@@ -15,14 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .bijection import phi, phi_inverse
-from .classes import (
-    ClassParams,
-    count_A,
-    count_B,
-    effective_budget,
-    enumerate_A,
-    enumerate_B,
-)
+from .classes import ClassParams, effective_budget, enumerate_A, enumerate_B
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -53,7 +46,6 @@ class GridSpec:
     m_lo: int
     m_hi: int
     degree: int
-    budget: int
 
     def __post_init__(self):
         if self.n_lo < 0 or self.k_lo < 1 or self.d_lo < 1 or self.m_lo < 1:
@@ -163,21 +155,27 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(rec.get(k)).ljust(widths[k]) for k in keys) + "\n")
 
 
-def _parse_range(text: str, name: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise DomainError(f"expected an integer or a range lo..hi, got {text!r}") from None
+
+
+def _degree(args) -> int:
+    """The --N truncation degree, which must be nonnegative."""
+    if args.N < 0:
+        raise DomainError(f"--N must be >= 0, got {args.N}")
+    return args.N
 
 
 def cmd_verify(args) -> int:
     budget = effective_budget(args.budget)
+    n_lo, n_hi = _parse_range(args.n)
     grid = GridSpec(
-        *_parse_range(args.n, "n"), *_parse_range(args.k, "k"),
-        *_parse_range(args.d, "d"), *_parse_range(args.m, "m"),
-        degree=max(args.N, int(_parse_range(args.n, "n")[1])),
-        budget=budget,
+        n_lo, n_hi, *_parse_range(args.k), *_parse_range(args.d), *_parse_range(args.m),
+        degree=max(_degree(args), n_hi),
     )
     series_cache: dict = {}
     records = []
@@ -215,26 +213,28 @@ def cmd_map(args) -> int:
 def cmd_count(args) -> int:
     params = ClassParams.parse(args.params)
     budget = effective_budget(args.budget)
+    degree = max(_degree(args), params.n)
     if args.method == "enumerate":
-        value = count_A(params, budget=budget) if args.cls == "A" else count_B(params, budget=budget)
+        members = enumerate_A if args.cls == "A" else enumerate_B
+        value = sum(1 for _ in members(params, budget=budget))
     else:
         build = lhs_series if args.cls == "A" else rhs_series
-        degree = max(args.N, params.n)
         value = build(params.k, params.d, params.m, degree).coefficient(params.n)
     print(value)
     return EXIT_PASS
 
 
 def cmd_series(args) -> int:
+    N = _degree(args)
     if args.eq1:
-        lhs, rhs = solutionI_sides(args.k, args.N)
-        label = f"eq1 k={args.k} N={args.N}"
+        lhs, rhs = solutionI_sides(args.k, N)
+        label = f"eq1 k={args.k} N={N}"
     else:
         if args.d is None or args.m is None:
             raise DomainError("--d and --m are required unless --eq1 is given")
-        lhs = lhs_series(args.k, args.d, args.m, args.N)
-        rhs = rhs_series(args.k, args.d, args.m, args.N)
-        label = f"eq2 k={args.k} d={args.d} m={args.m} N={args.N}"
+        lhs = lhs_series(args.k, args.d, args.m, N)
+        rhs = rhs_series(args.k, args.d, args.m, N)
+        label = f"eq2 k={args.k} d={args.d} m={args.m} N={N}"
     diff = first_difference(lhs, rhs)
     if diff is None:
         print(f"{label}: agree")

@@ -13,10 +13,6 @@ class ParseError(ParteqError, ValueError):
         self.position = position
 
 
-class NotSubpartition(ParteqError, ValueError):
-    """Attempted to subtract a partition that is not a sub-multiset."""
-
-
 class DomainError(ParteqError, ValueError):
     """Argument outside the domain of a map (bad modulus, bad parts, ...)."""
 
@@ -43,10 +39,6 @@ class BudgetExceeded(ParteqError, RuntimeError):
 
 class DegreeMismatch(ParteqError, ValueError):
     """Binary series operation on series with different truncation degrees."""
-
-
-class NotInvertible(ParteqError, ValueError):
-    """Series inversion requires constant coefficient +1 or -1."""
 
 
 class OutOfRange(ParteqError, IndexError):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotSubpartition, ParseError
+from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"(\d+)(?:\^(\d+))?")
 
@@ -107,24 +107,8 @@ class Partition:
         """Multiset union: multiplicities add pointwise."""
         return Partition.from_pairs(list(self.entries) + list(other.entries))
 
-    def subtract(self, other: "Partition") -> "Partition":
-        """Multiset difference; ``other`` must be a sub-multiset of self."""
-        acc = dict(self.entries)
-        for part, mult in other.entries:
-            have = acc.get(part, 0)
-            if mult > have:
-                raise NotSubpartition(f"part {part}: multiplicity {mult} exceeds available {have}")
-            if mult == have:
-                del acc[part]
-            else:
-                acc[part] = have - mult
-        return Partition(tuple(sorted(acc.items(), reverse=True)))
-
     def __add__(self, other: "Partition") -> "Partition":
         return self.add(other)
-
-    def __sub__(self, other: "Partition") -> "Partition":
-        return self.subtract(other)
 
     def render(self) -> str:
         """Canonical text form, e.g. '7^4 6^2 5 1'. Empty partition -> ''."""
@@ -135,10 +119,6 @@ class Partition:
 
     def __str__(self) -> str:
         return self.render()
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON-friendly form: [[part, mult], ...] descending by part."""
-        return [[part, mult] for part, mult in self.entries]
 
     @staticmethod
     def parse(text: str) -> "Partition":

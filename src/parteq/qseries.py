@@ -13,10 +13,9 @@ the original Monthly problem.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, DomainError, NotInvertible, OutOfRange
+from .errors import DegreeMismatch, DomainError, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -55,39 +54,6 @@ class TruncatedSeries:
             raise OutOfRange(f"exponent {e} outside [0, {self.truncation_degree}]")
         return self.coefficients[e]
 
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at N."""
-        if self.truncation_degree != other.truncation_degree:
-            raise DegreeMismatch(
-                f"degrees {self.truncation_degree} and {other.truncation_degree} differ"
-            )
-        N = self.truncation_degree
-        out = [0] * (N + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(N + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(N, tuple(out))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.mul(other)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Reciprocal series, by the standard coefficient recurrence."""
-        c0 = self.coefficients[0]
-        if c0 not in (1, -1):
-            raise NotInvertible(f"constant coefficient {c0} not in {{1, -1}}")
-        N = self.truncation_degree
-        inv = [0] * (N + 1)
-        inv[0] = c0
-        for e in range(1, N + 1):
-            acc = sum(self.coefficients[i] * inv[e - i] for i in range(1, e + 1))
-            inv[e] = -c0 * acc
-        return TruncatedSeries(N, tuple(inv))
-
     def times_factor(self, e: int) -> "TruncatedSeries":
         """Multiply by (1 - q^e)."""
         N = self.truncation_degree
@@ -106,22 +72,6 @@ class TruncatedSeries:
             out[i] += out[i - e]
         return TruncatedSeries(N, tuple(out))
 
-    def shift(self, e: int) -> "TruncatedSeries":
-        """Multiply by q^e."""
-        N = self.truncation_degree
-        if e > N:
-            return TruncatedSeries(N, (0,) * (N + 1))
-        return TruncatedSeries(N, (0,) * e + self.coefficients[: N + 1 - e])
-
-    def to_json(self) -> str:
-        # decimal strings keep unbounded coefficients bit-exact in JSON
-        return json.dumps(
-            {
-                "truncation_degree": self.truncation_degree,
-                "coefficients": [str(c) for c in self.coefficients],
-            }
-        )
-
 
 @dataclass(frozen=True)
 class PochhammerSpec:
@@ -137,40 +87,23 @@ class PochhammerSpec:
         if self.length is not None and self.length < 0:
             raise ValueError("length must be >= 0")
 
-    def exponents(self, N: int):
-        """Exponents offset + j*step contributing below the truncation degree."""
-        j = 0
-        while self.length is None or j < self.length:
-            e = self.offset + j * self.step
-            if self.length is None and e > N:
-                return
-            yield e
-            j += 1
-
-
-def pochhammer(spec: PochhammerSpec, N: int) -> TruncatedSeries:
-    """The product of (1 - q^e) over the spec's exponents, truncated at N."""
-    s = TruncatedSeries.one(N)
-    for e in spec.exponents(N):
-        if e <= N:
-            s = s.times_factor(e)
-    return s
+    def exponents(self, N: int) -> range:
+        """Exponents offset + j*step of the factors, up to the truncation degree N."""
+        stop = N + 1 if self.length is None else min(N + 1, self.offset + self.length * self.step)
+        return range(self.offset, stop, self.step)
 
 
 def _divided_by_pochhammer(s: TruncatedSeries, spec: PochhammerSpec) -> TruncatedSeries:
     """Multiply s by 1 / (q^offset; q^step)_length, one factor at a time."""
-    N = s.truncation_degree
-    for e in spec.exponents(N):
-        if e <= N:
-            s = s.times_inverse_factor(e)
+    for e in spec.exponents(s.truncation_degree):
+        s = s.times_inverse_factor(e)
     return s
 
 
 def _times_pochhammer(s: TruncatedSeries, spec: PochhammerSpec) -> TruncatedSeries:
-    N = s.truncation_degree
-    for e in spec.exponents(N):
-        if e <= N:
-            s = s.times_factor(e)
+    """Multiply s by (q^offset; q^step)_length, one factor at a time."""
+    for e in spec.exponents(s.truncation_degree):
+        s = s.times_factor(e)
     return s
 
 

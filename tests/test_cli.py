@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,3 +150,47 @@ def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("PARTEQ_BUDGET", "10")
     code, _, err = run(capsys, "count", "--params", "30,1,2,4", "--class", "A")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        pytest.param(None, ["verify", "--n", "x", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-x"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "1..", "--d", "2", "--m", "2"], id="verify-range-open"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "-1"], id="verify-N"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "-1"],
+                     id="verify-budget"),
+        pytest.param("abc", ["count", "--params", "7,2,2,4", "--class", "A"], id="count-env-budget"),
+        pytest.param(None, ["count", "--params", "7,2,2,4", "--class", "A", "--method", "series", "--N", "-1"],
+                     id="count-N"),
+        pytest.param(None, ["series", "--k", "2", "--d", "2", "--m", "2", "--N", "-1"], id="series-N"),
+    ],
+)
+def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):
+    if env is None:
+        monkeypatch.delenv("PARTEQ_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("PARTEQ_BUDGET", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
+# sha256 of the stdout of each sweep; any change to a record's bytes shows here
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(["--n", "0..10", "--k", "1..6", "--d", "1..4", "--m", "1..8", "--json"],
+                     "5f3da6b74182abf2140a9ec11c4b7f26f988d9b673b24af7f2c737ceb72ae2b2", id="json"),
+        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4", "--csv"],
+                     "c8d3d9de34719dd4888b6a1908fc2d661bc7e10dc4dcd28cb2990661c85b9bb0", id="csv"),
+        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4"],
+                     "db36dd0e905f49b7ba91a368fcb0583536b803a9050d7adb139e8dc89a94c9f3", id="table"),
+    ],
+)
+def test_verify_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,6 @@
 import pytest
 
-from parteq.errors import NotSubpartition, ParseError
+from parteq.errors import ParseError
 from parteq.partition import EMPTY, Partition
 
 
@@ -46,20 +46,6 @@ def test_add_merges_multiplicities():
     assert Partition.parse("2") + Partition.parse("2") == Partition.parse("2^2")
 
 
-def test_subtract_basics():
-    p = Partition.parse("2^2 1")
-    assert p - EMPTY == p
-    assert p - Partition.parse("2") == Partition.parse("2 1")
-    with pytest.raises(NotSubpartition):
-        Partition.parse("1") - Partition.parse("2")
-
-
-def test_subtract_inverts_add():
-    p = Partition.parse("5 3^2 1")
-    r = Partition.parse("3 1")
-    assert (p + r) - r == p
-
-
 def test_parse_worked_example():
     p = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
     assert p.multiplicity(15) == 2
@@ -102,10 +88,6 @@ def test_largest_part_and_counts():
     assert p.largest_part() == 6
     assert p.num_parts() == 4
     assert p.part_sequence() == (6, 4, 4, 1)
-
-
-def test_to_pairs():
-    assert Partition.parse("4 2^3").to_pairs() == [[4, 1], [2, 3]]
 
 
 def test_invalid_construction():

@@ -65,11 +65,6 @@ def test_add_associative(p, r, s):
     assert (p + r) + s == p + (r + s)
 
 
-@given(partitions(), partitions())
-def test_subtract_inverts_add(p, r):
-    assert (p + r) - r == p
-
-
 @given(partitions())
 def test_parse_render_round_trip(p):
     assert Partition.parse(p.render()) == p

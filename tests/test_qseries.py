@@ -1,18 +1,33 @@
-import json
-
 import pytest
 
-from parteq.classes import ClassParams, count_A, count_B
-from parteq.errors import DegreeMismatch, NotInvertible, OutOfRange
+from parteq.classes import ClassParams, enumerate_A, enumerate_B
+from parteq.errors import DegreeMismatch, OutOfRange
 from parteq.qseries import (
     PochhammerSpec,
     TruncatedSeries,
+    _times_pochhammer,
     first_difference,
     lhs_series,
-    pochhammer,
     rhs_series,
     solutionI_check,
 )
+
+
+def inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Reference reciprocal by the dense coefficient recurrence; s(0) must be +-1."""
+    c0 = s.coefficients[0]
+    assert c0 in (1, -1)
+    N = s.truncation_degree
+    inv = [0] * (N + 1)
+    inv[0] = c0
+    for e in range(1, N + 1):
+        inv[e] = -c0 * sum(s.coefficients[i] * inv[e - i] for i in range(1, e + 1))
+    return TruncatedSeries(N, tuple(inv))
+
+
+def pochhammer(spec: PochhammerSpec, N: int) -> TruncatedSeries:
+    """(q^offset; q^step)_length truncated at N, through the library's factor loop."""
+    return _times_pochhammer(TruncatedSeries.one(N), spec)
 
 
 def brute_force_odd_partitions(n: int) -> int:
@@ -38,52 +53,47 @@ def test_one_and_monomial():
 
 
 def test_mul_identity():
+    # a factor (1 - q^e) with e beyond the truncation degree changes nothing
     s = TruncatedSeries.from_coefficients([3, -1, 2, 0, 5])
-    assert s * TruncatedSeries.one(4) == s
+    assert s.times_factor(5) == s
 
 
 def test_mul_geometric_telescopes():
     N = 12
-    one_minus_q = TruncatedSeries.from_coefficients([1, -1], N)
     geometric = TruncatedSeries.from_coefficients([1] * (N + 1), N)
-    assert one_minus_q * geometric == TruncatedSeries.one(N)
+    assert geometric.times_factor(1) == TruncatedSeries.one(N)
 
 
 def test_mul_square():
-    s = TruncatedSeries.from_coefficients([1, 1], 3)
-    assert (s * s).coefficients == (1, 2, 1, 0)
+    s = TruncatedSeries.one(3).times_factor(1).times_factor(1)
+    assert s.coefficients == (1, -2, 1, 0)
 
 
 def test_mul_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        TruncatedSeries.one(3) * TruncatedSeries.one(4)
+        first_difference(TruncatedSeries.one(3), TruncatedSeries.one(4))
 
 
 def test_inverse_geometric():
     s = TruncatedSeries.from_coefficients([1, -1], 8)
-    assert s.inverse().coefficients == (1,) * 9
+    assert inverse(s).coefficients == (1,) * 9
 
 
 def test_inverse_involution():
     s = TruncatedSeries.from_coefficients([1, 3, -2, 7, 0, 1], 5)
-    assert s.inverse().inverse() == s
+    assert inverse(inverse(s)) == s
 
 
 def test_inverse_of_single_factor_coefficient():
     # 1 / (1 - q): every coefficient is 1
-    s = pochhammer(PochhammerSpec(1, 1, 1), 10).inverse()
+    s = inverse(pochhammer(PochhammerSpec(1, 1, 1), 10))
     assert s.coefficient(7) == 1
-
-
-def test_inverse_requires_unit_constant():
-    with pytest.raises(NotInvertible):
-        TruncatedSeries.from_coefficients([2, 1], 3).inverse()
 
 
 def test_times_inverse_factor_matches_inverse():
     N = 20
     s = TruncatedSeries.one(N).times_inverse_factor(3)
-    assert s == pochhammer(PochhammerSpec(3, 1, 1), N).inverse()
+    assert s == inverse(pochhammer(PochhammerSpec(3, 1, 1), N))
 
 
 def test_coefficient_out_of_range():
@@ -156,8 +166,8 @@ def test_series_coefficients_match_enumeration():
         rhs = rhs_series(k, d, m, N)
         for n in range(1, N + 1):
             params = ClassParams(n, k, d, m)
-            assert lhs.coefficient(n) == count_A(params)
-            assert rhs.coefficient(n) == count_B(params)
+            assert lhs.coefficient(n) == len(list(enumerate_A(params)))
+            assert rhs.coefficient(n) == len(list(enumerate_B(params)))
 
 
 def test_m_stability_beyond_truncation():
@@ -165,10 +175,3 @@ def test_m_stability_beyond_truncation():
     N, k, d = 24, 2, 3
     m = N // d + 1
     assert lhs_series(k, d, m, N) == lhs_series(k, d, m + 1, N)
-
-
-def test_json_serialization_uses_decimal_strings():
-    s = TruncatedSeries.from_coefficients([1, -2, 10**30], 2)
-    doc = json.loads(s.to_json())
-    assert doc["truncation_degree"] == 2
-    assert doc["coefficients"] == ["1", "-2", str(10**30)]
