@@ -1,7 +1,6 @@
 """Partition class equinumerosity: enumeration, bijection, q-series oracles."""
 
 from .bijection import (
-    BaseDDecomposition,
     BijectionTrace,
     finite_glaisher_forward,
     finite_glaisher_inverse,
@@ -32,7 +31,6 @@ from .qseries import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseDDecomposition",
     "BijectionTrace",
     "ClassParams",
     "EMPTY",

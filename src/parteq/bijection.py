@@ -28,24 +28,6 @@ from .partition import Partition
 
 
 @dataclass(frozen=True)
-class BaseDDecomposition:
-    """Truncated base-d expansion of one multiplicity in the finite map.
-
-    For a part j (not divisible by d) occurring N_j times:
-    N_j = sum(digits[l] * d**l for l < L_j) + overflow * d**L_j,
-    with each digit in [0, d-1] and m < j*d**L_j <= m*d.
-    """
-
-    j: int
-    L_j: int
-    digits: tuple[int, ...]
-    overflow: int
-
-    def reconstruct(self, d: int) -> int:
-        return sum(a * d**l for l, a in enumerate(self.digits)) + self.overflow * d**self.L_j
-
-
-@dataclass(frozen=True)
 class BijectionTrace:
     """Every intermediate subpartition of one application of the bijection."""
 
@@ -86,37 +68,17 @@ def _check_modulus(d: int) -> None:
 def glaisher_forward(o: Partition, d: int) -> Partition:
     """Glaisher's map: base-d expand each multiplicity.
 
-    Input may contain no part divisible by d; output has every multiplicity
-    below d, same weight.
+    This is the finite-bound map with the bound at the weight: then
+    j*d^L_j > m >= j*N_j, so no multiplicity reaches its overflow part.
+    Input may contain no part divisible by d; output has every
+    multiplicity below d, same weight.
     """
-    _check_modulus(d)
-    pairs: list[tuple[int, int]] = []
-    for part, mult in o.entries:
-        if part % d == 0:
-            raise DomainError(f"part {part} divisible by {d}")
-        scale = 1
-        while mult > 0:
-            digit = mult % d
-            if digit:
-                pairs.append((part * scale, digit))
-            mult //= d
-            scale *= d
-    return Partition.from_pairs(pairs)
+    return finite_glaisher_forward(o, d, max(1, o.weight()))
 
 
 def glaisher_inverse(delta: Partition, d: int) -> Partition:
     """Inverse of Glaisher's map: fold each part j*d^l back onto part j."""
-    _check_modulus(d)
-    pairs: list[tuple[int, int]] = []
-    for part, mult in delta.entries:
-        if mult >= d:
-            raise DomainError(f"part {part} occurs {mult} >= {d} times")
-        j, scale = part, 1
-        while j % d == 0:
-            j //= d
-            scale *= d
-        pairs.append((j, mult * scale))
-    return Partition.from_pairs(pairs)
+    return finite_glaisher_inverse(delta, d, max(1, delta.weight()))
 
 
 def bound_exponent(j: int, d: int, m: int) -> int:
@@ -131,22 +93,14 @@ def bound_exponent(j: int, d: int, m: int) -> int:
     return L
 
 
-def decompose_multiplicity(j: int, mult: int, d: int, m: int) -> BaseDDecomposition:
-    """Base-d digits of mult below the exponent L_j, overflow collected above."""
-    L = bound_exponent(j, d, m)
-    digits = []
-    rest = mult
-    for _ in range(L):
-        digits.append(rest % d)
-        rest //= d
-    return BaseDDecomposition(j=j, L_j=L, digits=tuple(digits), overflow=rest)
-
-
 def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     """Finite-bound Glaisher map.
 
     Requires: no part divisible by d, all parts < m*d. Produces: all parts
     <= m*d, every part <= m occurring fewer than d times, same weight.
+    The multiplicity N_j of part j is written in base d up to the digit of
+    d^(L_j - 1); what remains above becomes the overflow multiplicity of
+    the part j*d^L_j.
     """
     _check_modulus(d)
     if m < 1:
@@ -155,14 +109,16 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     for part, mult in o.entries:
         if part % d == 0:
             raise DomainError(f"part {part} divisible by {d}")
-        if part >= m * d:
-            raise DomainError(f"part {part} not below {m * d}")
-        dec = decompose_multiplicity(part, mult, d, m)
-        for l, digit in enumerate(dec.digits):
+        # a part not divisible by d is below m*d exactly when it is at most
+        # m*d, which bound_exponent checks
+        scale = 1
+        for _ in range(bound_exponent(part, d, m)):
+            mult, digit = divmod(mult, d)
             if digit:
-                pairs.append((part * d**l, digit))
-        if dec.overflow:
-            pairs.append((part * d**dec.L_j, dec.overflow))
+                pairs.append((part * scale, digit))
+            scale *= d
+        if mult:
+            pairs.append((part * scale, mult))
     return Partition.from_pairs(pairs)
 
 

@@ -9,6 +9,7 @@ error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -19,6 +20,7 @@ from .classes import ClassParams, effective_budget, enumerate_A, enumerate_B
 from .errors import (
     BudgetExceeded,
     DomainError,
+    InternalError,
     NotInClassA,
     NotInClassB,
     ParseError,
@@ -31,36 +33,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive parameter ranges for a verification sweep."""
-
-    n_lo: int
-    n_hi: int
-    k_lo: int
-    k_hi: int
-    d_lo: int
-    d_hi: int
-    m_lo: int
-    m_hi: int
-    degree: int
-
-    def __post_init__(self):
-        if self.n_lo < 0 or self.k_lo < 1 or self.d_lo < 1 or self.m_lo < 1:
-            raise DomainError("lower bounds must satisfy n >= 0, k,d,m >= 1")
-        for lo, hi in ((self.n_lo, self.n_hi), (self.k_lo, self.k_hi),
-                       (self.d_lo, self.d_hi), (self.m_lo, self.m_hi)):
-            if hi < lo:
-                raise DomainError(f"upper bound {hi} below lower bound {lo}")
-
-    def points(self):
-        for n in range(self.n_lo, self.n_hi + 1):
-            for k in range(self.k_lo, self.k_hi + 1):
-                for d in range(self.d_lo, self.d_hi + 1):
-                    for m in range(self.m_lo, self.m_hi + 1):
-                        yield ClassParams(n, k, d, m)
 
 
 @dataclass
@@ -155,12 +127,16 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(rec.get(k)).ljust(widths[k]) for k in keys) + "\n")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
+    """The inclusive range written as 'lo..hi' or as a single value."""
     lo, sep, hi = text.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise DomainError(f"expected an integer or a range lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise DomainError(f"upper bound {hi} below lower bound {lo}")
+    return range(lo, hi + 1)
 
 
 def _degree(args) -> int:
@@ -172,17 +148,17 @@ def _degree(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = effective_budget(args.budget)
-    n_lo, n_hi = _parse_range(args.n)
-    grid = GridSpec(
-        n_lo, n_hi, *_parse_range(args.k), *_parse_range(args.d), *_parse_range(args.m),
-        degree=max(_degree(args), n_hi),
-    )
+    ns = _parse_range(args.n)
+    grid = itertools.product(ns, _parse_range(args.k), _parse_range(args.d), _parse_range(args.m))
+    degree = max(_degree(args), ns[-1])
     series_cache: dict = {}
     records = []
     any_fail = False
     any_budget = False
-    for params in grid.points():
-        report = verify_point(params, series_cache, grid.degree, budget)
+    # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
+    # every lower bound, so a bad one fails before any point is checked
+    for n, k, d, m in grid:
+        report = verify_point(ClassParams(n, k, d, m), series_cache, degree, budget)
         if report.error and report.error.startswith("BudgetExceeded"):
             any_budget = True
         elif not report.passed:
@@ -244,8 +220,15 @@ def cmd_series(args) -> int:
     return EXIT_FAIL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as DomainError, like any other bad input."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="parteq", description=__doc__)
+    parser = _ArgumentParser(prog="parteq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="sweep a parameter grid and cross-check all oracles")
@@ -291,14 +274,13 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         _error("ParseError", exc)
         return EXIT_USAGE
-    except (NotInClassA, NotInClassB) as exc:
+    except (NotInClassA, NotInClassB, InternalError) as exc:
         _error(type(exc).__name__, exc)
         return EXIT_FAIL
     except BudgetExceeded as exc:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 
-_TOKEN_RE = re.compile(r"(\d+)(?:\^(\d+))?")
+_TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -123,40 +123,17 @@ class Partition:
     @staticmethod
     def parse(text: str) -> "Partition":
         """Parse the canonical text format; strict inverse of render()."""
-        if text == "":
-            return Partition()
         entries: list[tuple[int, int]] = []
         pos = 0
-        prev_part = None
-        first = True
-        while pos < len(text):
-            if not first:
-                if text[pos] != " ":
-                    raise ParseError(f"expected single space at position {pos}", position=pos)
-                pos += 1
-            first = False
-            match = _TOKEN_RE.match(text, pos)
-            if not match or match.start() != pos or match.group(1) == "":
-                raise ParseError(f"expected part at position {pos}", position=pos)
-            part_str, mult_str = match.group(1), match.group(2)
-            if part_str != "0" and part_str.startswith("0"):
-                raise ParseError(f"leading zero at position {pos}", position=pos)
-            part = int(part_str)
-            if part < 1:
-                raise ParseError(f"part must be >= 1 at position {pos}", position=pos)
-            if mult_str is not None:
-                if mult_str.startswith("0"):
-                    raise ParseError(f"leading zero in multiplicity at position {pos}", position=pos)
-                mult = int(mult_str)
-                if mult < 2:
-                    raise ParseError(f"explicit multiplicity must be >= 2 at position {pos}", position=pos)
-            else:
-                mult = 1
-            if prev_part is not None and part >= prev_part:
+        for token in text.split(" ") if text else ():
+            match = _TOKEN_RE.fullmatch(token)
+            if match is None:
+                raise ParseError(f"malformed token {token!r} at position {pos}", position=pos)
+            part = int(match.group(1))
+            if entries and part >= entries[-1][0]:
                 raise ParseError(f"parts must be strictly descending at position {pos}", position=pos)
-            prev_part = part
-            entries.append((part, mult))
-            pos = match.end()
+            entries.append((part, int(match.group(2) or 1)))
+            pos += len(token) + 1
         return Partition(tuple(entries))
 
 

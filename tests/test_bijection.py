@@ -5,7 +5,6 @@ import pytest
 from parteq.bijection import (
     BijectionTrace,
     bound_exponent,
-    decompose_multiplicity,
     finite_glaisher_forward,
     finite_glaisher_inverse,
     glaisher_forward,
@@ -40,6 +39,9 @@ def test_glaisher_forward_trivial_case():
 def test_glaisher_forward_binary():
     # 4 = 100 in base 2, so four 1s become one 4
     assert glaisher_forward(Partition.parse("1^4"), 2) == Partition.parse("4")
+    # 1000 = 1111101000 in base 2; the bound at the weight leaves no overflow
+    assert glaisher_forward(Partition.parse("1^1000"), 2) == Partition.parse("512 256 128 64 32 8")
+    assert glaisher_inverse(Partition.parse("512 256 128 64 32 8"), 2) == Partition.parse("1^1000")
 
 
 def test_glaisher_forward_rejects_divisible_part():
@@ -86,19 +88,6 @@ def test_bound_exponent_defining_property():
             for j in range(1, m * d + 1):
                 L = bound_exponent(j, d, m)
                 assert m < j * d**L <= m * d
-
-
-def test_decompose_multiplicity_reconstructs():
-    rng = random.Random(3)
-    for _ in range(500):
-        d = rng.randint(2, 5)
-        m = rng.randint(1, 9)
-        j = rng.choice([x for x in range(1, m * d) if x % d != 0] or [1])
-        mult = rng.randint(1, 200)
-        dec = decompose_multiplicity(j, mult, d, m)
-        assert dec.reconstruct(d) == mult
-        assert all(0 <= a < d for a in dec.digits)
-        assert len(dec.digits) == dec.L_j
 
 
 def test_finite_glaisher_forward_worked_example_2():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from parteq.cli import main
+from parteq.partition import EMPTY
 
 LAMBDA_1 = "15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"
 KAPPA_1 = "21 18 11 8 7^4 5 4^3 3^3 2^5 1"
@@ -140,10 +141,22 @@ def test_verify_table_default(capsys):
     assert "count_A" in out.splitlines()[0]
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as info:
-        main(["map"])  # missing required args
-    assert info.value.code == 2
+def test_usage_error_exit_code(capsys):
+    code, out, err = run(capsys, "map")  # missing required args
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    # an empty Glaisher image makes phi's own weight check fail
+    monkeypatch.setattr("parteq.bijection.finite_glaisher_forward", lambda o, d, m: EMPTY)
+    code, out, err = run(capsys, "map", LAMBDA_1, "--params", "123,7,3,4")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InternalError"
 
 
 def test_env_budget(monkeypatch, capsys):
@@ -164,6 +177,16 @@ def test_env_budget(monkeypatch, capsys):
         pytest.param(None, ["count", "--params", "7,2,2,4", "--class", "A", "--method", "series", "--N", "-1"],
                      id="count-N"),
         pytest.param(None, ["series", "--k", "2", "--d", "2", "--m", "2", "--N", "-1"], id="series-N"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "abc"],
+                     id="verify-N-x"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"],
+                     id="verify-budget-x"),
+        pytest.param(None, ["series", "--k", "x", "--d", "2", "--m", "2"], id="series-k-x"),
+        pytest.param(None, ["verify", "--k", "1", "--d", "2", "--m", "2"], id="verify-missing-n"),
+        pytest.param(None, ["verify", "--n", "-1..2", "--k", "1", "--d", "2", "--m", "2"],
+                     id="verify-range-negative"),
+        pytest.param(None, ["verify", "--n", "5..3", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-reversed"),
+        pytest.param(None, ["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
     ],
 )
 def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):

@@ -65,7 +65,7 @@ def test_parse_rejects_zero_part():
 
 @pytest.mark.parametrize(
     "bad",
-    ["3 3", "2 3", "3^1", "3^0", "03", "3^02", "3  2", " 3", "3 ", "a", "3^", "-2"],
+    ["3 3", "2 3", "3^1", "3^0", "03", "3^02", "3  2", " 3", "3 ", "a", "3^", "-2", "٣", "5 ٣", "３^2"],
 )
 def test_parse_rejects_noncanonical(bad):
     with pytest.raises(ParseError):
