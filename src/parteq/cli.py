@@ -16,7 +16,15 @@ import time
 from dataclasses import dataclass
 
 from .bijection import phi, phi_inverse
-from .classes import ClassParams, effective_budget, enumerate_A, enumerate_B
+from .classes import (
+    ClassParams,
+    effective_budget,
+    enumerate_A,
+    enumerate_B,
+    enumerate_partitions,
+    is_in_A,
+    is_in_B,
+)
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -70,25 +78,22 @@ class VerifyReport:
         return rec
 
 
-def verify_point(params: ClassParams, series_cache: dict, degree: int, budget: int) -> VerifyReport:
-    """Check one grid point: counts, series coefficients, bijection round trip."""
+def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> VerifyReport:
+    """Check one grid point: counts, series coefficients, bijection round trip.
+
+    members are all partitions of params.n; lhs and rhs are the series
+    of (k, d, m) truncated at degree >= params.n.
+    """
     report = VerifyReport(params=params)
     start = time.perf_counter()
-    key = (params.k, params.d, params.m)
-    if key not in series_cache:
-        series_cache[key] = (
-            lhs_series(params.k, params.d, params.m, degree),
-            rhs_series(params.k, params.d, params.m, degree),
-        )
-    lhs, rhs = series_cache[key]
-    try:
-        members_a = list(enumerate_A(params, budget=budget))
-        members_b = list(enumerate_B(params, budget=budget))
-        report.count_a = len(members_a)
-        report.count_b = len(members_b)
-        report.coeff_lhs = lhs.coefficient(params.n)
-        report.coeff_rhs = rhs.coefficient(params.n)
-        if params.d >= 2:
+    members_a = [p for p in members if is_in_A(p, params)]
+    members_b = [p for p in members if is_in_B(p, params)]
+    report.count_a = len(members_a)
+    report.count_b = len(members_b)
+    report.coeff_lhs = lhs.coefficient(params.n)
+    report.coeff_rhs = rhs.coefficient(params.n)
+    if params.d >= 2:
+        try:
             images = set()
             ok = True
             for lam in members_a:
@@ -100,10 +105,8 @@ def verify_point(params: ClassParams, series_cache: dict, degree: int, budget: i
             if images != set(members_b):
                 ok = False
             report.bijection_ok = ok
-    except BudgetExceeded as exc:
-        report.error = f"BudgetExceeded: {exc}"
-    except ParteqError as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
+        except ParteqError as exc:
+            report.error = f"{type(exc).__name__}: {exc}"
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -139,31 +142,32 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _degree(args) -> int:
-    """The --N truncation degree, which must be nonnegative."""
-    if args.N < 0:
-        raise DomainError(f"--N must be >= 0, got {args.N}")
-    return args.N
-
-
 def cmd_verify(args) -> int:
     budget = effective_budget(args.budget)
     ns = _parse_range(args.n)
-    grid = itertools.product(ns, _parse_range(args.k), _parse_range(args.d), _parse_range(args.m))
-    degree = max(_degree(args), ns[-1])
-    series_cache: dict = {}
+    kdms = list(itertools.product(_parse_range(args.k), _parse_range(args.d), _parse_range(args.m)))
+    # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
+    # every lower bound, so a bad one fails before any series is built
+    ClassParams(ns[0], *kdms[0])
+    series = {kdm: (lhs_series(*kdm, ns[-1]), rhs_series(*kdm, ns[-1])) for kdm in kdms}
     records = []
     any_fail = False
     any_budget = False
-    # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
-    # every lower bound, so a bad one fails before any point is checked
-    for n, k, d, m in grid:
-        report = verify_point(ClassParams(n, k, d, m), series_cache, degree, budget)
-        if report.error and report.error.startswith("BudgetExceeded"):
+    for n in ns:
+        try:
+            members = list(enumerate_partitions(n, budget=budget))
+        except BudgetExceeded as exc:
+            members = None
             any_budget = True
-        elif not report.passed:
-            any_fail = True
-        records.append(report.to_record(timing=args.timing))
+            error = f"BudgetExceeded: {exc}"
+        for kdm in kdms:
+            params = ClassParams(n, *kdm)
+            if members is None:
+                report = VerifyReport(params=params, error=error, elapsed=0.0)
+            else:
+                report = verify_point(params, members, *series[kdm])
+                any_fail = any_fail or not report.passed
+            records.append(report.to_record(timing=args.timing))
     _emit(records, args.format, sys.stdout)
     if any_fail:
         return EXIT_FAIL
@@ -189,19 +193,20 @@ def cmd_map(args) -> int:
 def cmd_count(args) -> int:
     params = ClassParams.parse(args.params)
     budget = effective_budget(args.budget)
-    degree = max(_degree(args), params.n)
     if args.method == "enumerate":
         members = enumerate_A if args.cls == "A" else enumerate_B
         value = sum(1 for _ in members(params, budget=budget))
     else:
         build = lhs_series if args.cls == "A" else rhs_series
-        value = build(params.k, params.d, params.m, degree).coefficient(params.n)
+        value = build(params.k, params.d, params.m, params.n).coefficient(params.n)
     print(value)
     return EXIT_PASS
 
 
 def cmd_series(args) -> int:
-    N = _degree(args)
+    N = args.N
+    if N < 0:
+        raise DomainError(f"--N must be >= 0, got {N}")
     if args.eq1:
         lhs, rhs = solutionI_sides(args.k, N)
         label = f"eq1 k={args.k} N={N}"
@@ -236,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True)
     p_verify.add_argument("--d", required=True)
     p_verify.add_argument("--m", required=True)
-    p_verify.add_argument("--N", type=int, default=60, help="series truncation degree")
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
     _add_format_flags(p_verify)
@@ -253,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--params", required=True, help="n,k,d,m")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--method", choices=["enumerate", "series"], default="enumerate")
-    p_count.add_argument("--N", type=int, default=60)
     p_count.add_argument("--budget", type=int, default=None)
     p_count.set_defaults(func=cmd_count)
 

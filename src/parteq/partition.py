@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -55,10 +55,6 @@ class Partition:
         """Sum of all parts with multiplicity (the 'n' this partitions)."""
         return sum(part * mult for part, mult in self.entries)
 
-    def num_parts(self) -> int:
-        """Total number of parts, counted with multiplicity."""
-        return sum(mult for _, mult in self.entries)
-
     def largest_part(self) -> int:
         """Largest part, 0 for the empty partition."""
         return self.entries[0][0] if self.entries else 0
@@ -68,15 +64,6 @@ class Partition:
             if p == part:
                 return mult
         return 0
-
-    def parts(self) -> Iterator[int]:
-        """Yield parts in descending order, repeated per multiplicity."""
-        for part, mult in self.entries:
-            for _ in range(mult):
-                yield part
-
-    def part_sequence(self) -> tuple[int, ...]:
-        return tuple(self.parts())
 
     def is_empty(self) -> bool:
         return not self.entries

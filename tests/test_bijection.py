@@ -90,6 +90,12 @@ def test_bound_exponent_defining_property():
                 assert m < j * d**L <= m * d
 
 
+def test_bound_exponent_rejects_modulus_1():
+    # with d = 1 the power j*d^L never grows past m
+    with pytest.raises(UnsupportedModulus):
+        bound_exponent(1, 1, 5)
+
+
 def test_finite_glaisher_forward_worked_example_2():
     o = Partition.parse("20 17 14^4 7^2 2^5 1^3")
     assert finite_glaisher_forward(o, 3, 7) == Partition.parse("20 17 14^4 7^2 6 3 2^2")

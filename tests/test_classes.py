@@ -69,7 +69,7 @@ def test_enumerate_partitions_bounded():
 
 
 def test_enumerate_order_descending_lex():
-    seqs = [p.part_sequence() for p in enumerate_partitions(6)]
+    seqs = [tuple(part for part, mult in p.entries for _ in range(mult)) for p in enumerate_partitions(6)]
     assert seqs == sorted(seqs, reverse=True)
 
 

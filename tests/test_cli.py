@@ -119,6 +119,16 @@ def test_verify_budget_error_is_per_point(capsys):
     assert any(rec["pass"] for rec in records)  # small n still verified
 
 
+def test_verify_bijection_error_is_per_point(monkeypatch, capsys):
+    monkeypatch.setattr("parteq.cli.phi", lambda lam, params: (EMPTY, None))
+    code, out, _ = run(capsys, "verify", "--n", "3..4", "--k", "1", "--d", "1..2", "--m", "2", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["pass"] for rec in records] == [True, False, True, False]
+    assert records[1]["error"].startswith("NotInClassB: ")
+    assert records[1]["count_A"] == records[1]["coeff_rhs"] == 1
+
+
 def test_verify_output_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -201,19 +211,38 @@ def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+# n = 11 and n = 12 have more partitions than this budget allows
+BUDGET_SWEEP = ["--n", "0..12", "--k", "1..2", "--d", "1..2", "--m", "2", "--budget", "50", "--json"]
+
+
 # sha256 of the stdout of each sweep; any change to a record's bytes shows here
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, exit_code, digest",
     [
-        pytest.param(["--n", "0..10", "--k", "1..6", "--d", "1..4", "--m", "1..8", "--json"],
+        pytest.param(["--n", "0..10", "--k", "1..6", "--d", "1..4", "--m", "1..8", "--json"], 0,
                      "5f3da6b74182abf2140a9ec11c4b7f26f988d9b673b24af7f2c737ceb72ae2b2", id="json"),
-        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4", "--csv"],
+        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4", "--csv"], 0,
                      "c8d3d9de34719dd4888b6a1908fc2d661bc7e10dc4dcd28cb2990661c85b9bb0", id="csv"),
-        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4"],
+        pytest.param(["--n", "0..6", "--k", "1..3", "--d", "1..3", "--m", "1..4"], 0,
                      "db36dd0e905f49b7ba91a368fcb0583536b803a9050d7adb139e8dc89a94c9f3", id="table"),
+        pytest.param(BUDGET_SWEEP, 3,
+                     "1a01956881ed4ae9ece2678298a8c608b3ddd86fdbfcdb3362e2e8deee886a6c", id="budget"),
     ],
 )
-def test_verify_output_bytes_pinned(capsys, argv, digest):
+def test_verify_output_bytes_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, "verify", *argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_timing_adds_only_elapsed(capsys):
+    plain_code, plain, _ = run(capsys, "verify", *BUDGET_SWEEP)
+    code, out, _ = run(capsys, "verify", *BUDGET_SWEEP, "--timing")
+    assert code == plain_code == 3
+    records = [json.loads(line) for line in out.splitlines()]
+    assert any("error" in rec for rec in records)
+    for rec in records:
+        assert list(rec)[-1] == "elapsed"
+        elapsed = rec.pop("elapsed")
+        assert isinstance(elapsed, float) and elapsed >= 0
+    assert "".join(json.dumps(rec) + "\n" for rec in records) == plain

@@ -50,7 +50,7 @@ def test_parse_worked_example():
     p = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
     assert p.multiplicity(15) == 2
     assert p.multiplicity(7) == 4
-    assert p.num_parts() == 17
+    assert sum(mult for _, mult in p.entries) == 17
 
 
 def test_parse_empty():
@@ -86,8 +86,8 @@ def test_render_round_trip():
 def test_largest_part_and_counts():
     p = Partition.parse("6 4^2 1")
     assert p.largest_part() == 6
-    assert p.num_parts() == 4
-    assert p.part_sequence() == (6, 4, 4, 1)
+    assert sum(mult for _, mult in p.entries) == 4
+    assert tuple(part for part, mult in p.entries for _ in range(mult)) == (6, 4, 4, 1)
 
 
 def test_invalid_construction():

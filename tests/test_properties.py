@@ -50,8 +50,8 @@ def test_conjugate_preserves_weight(p):
 
 @given(partitions())
 def test_conjugate_exchanges_extremes(p):
-    assert p.conjugate().largest_part() == p.num_parts()
-    assert p.conjugate().num_parts() == p.largest_part()
+    assert p.conjugate().largest_part() == sum(mult for _, mult in p.entries)
+    assert sum(mult for _, mult in p.conjugate().entries) == p.largest_part()
 
 
 @given(partitions(), partitions())
