@@ -18,6 +18,7 @@ The independent count comes from the q-series module.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +26,19 @@ from .errors import BudgetExceeded, DomainError
 from .partition import Partition
 
 DEFAULT_BUDGET = 10_000_000
+
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer written as ASCII digits with an optional leading minus.
+
+    int() alone also reads any Unicode digit, underscores and surrounding
+    whitespace, so '٣' or '1_0' would pass silently as 3 or 10.
+    """
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise DomainError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -53,7 +67,7 @@ class ClassParams:
         if len(fields) != 4:
             raise DomainError(f"expected 'n,k,d,m', got {text!r}")
         try:
-            n, k, d, m = (int(f) for f in fields)
+            n, k, d, m = (parse_int(f) for f in fields)
         except ValueError as exc:
             raise DomainError(f"non-integer in params {text!r}") from exc
         return cls(n, k, d, m)
@@ -64,7 +78,7 @@ def effective_budget(budget: int | None = None) -> int:
     if budget is None:
         env = os.environ.get("PARTEQ_BUDGET")
         try:
-            budget = int(env) if env else DEFAULT_BUDGET
+            budget = parse_int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:

@@ -24,6 +24,7 @@ from .classes import (
     enumerate_partitions,
     is_in_A,
     is_in_B,
+    parse_int,
 )
 from .errors import (
     BudgetExceeded,
@@ -134,7 +135,7 @@ def _parse_range(text: str) -> range:
     """The inclusive range written as 'lo..hi' or as a single value."""
     lo, sep, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi if sep else lo)
+        lo, hi = parse_int(lo), parse_int(hi if sep else lo)
     except ValueError:
         raise DomainError(f"expected an integer or a range lo..hi, got {text!r}") from None
     if hi < lo:
@@ -205,8 +206,6 @@ def cmd_count(args) -> int:
 
 def cmd_series(args) -> int:
     N = args.N
-    if N < 0:
-        raise DomainError(f"--N must be >= 0, got {N}")
     if args.eq1:
         lhs, rhs = solutionI_sides(args.k, N)
         label = f"eq1 k={args.k} N={N}"
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True)
     p_verify.add_argument("--d", required=True)
     p_verify.add_argument("--m", required=True)
-    p_verify.add_argument("--budget", type=int, default=None)
+    p_verify.add_argument("--budget", type=parse_int, default=None)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
     _add_format_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -257,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--params", required=True, help="n,k,d,m")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--method", choices=["enumerate", "series"], default="enumerate")
-    p_count.add_argument("--budget", type=int, default=None)
+    p_count.add_argument("--budget", type=parse_int, default=None)
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="compare both sides of an identity coefficientwise")
-    p_series.add_argument("--k", type=int, required=True)
-    p_series.add_argument("--d", type=int, default=None)
-    p_series.add_argument("--m", type=int, default=None)
-    p_series.add_argument("--N", type=int, default=60)
+    p_series.add_argument("--k", type=parse_int, required=True)
+    p_series.add_argument("--d", type=parse_int, default=None)
+    p_series.add_argument("--m", type=parse_int, default=None)
+    p_series.add_argument("--N", type=parse_int, default=60)
     p_series.add_argument("--eq1", action="store_true", help="check the classical identity instead")
     p_series.set_defaults(func=cmd_series)
 

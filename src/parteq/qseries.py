@@ -1,19 +1,29 @@
 """Exact truncated power series in q and the two generating-function identities.
 
-Everything here is integer arithmetic on coefficient lists truncated at a
+Everything here is integer arithmetic on coefficient tuples truncated at a
 fixed degree N. Denominator factors 1/(1 - q^e) are applied one at a time
-via the prefix recurrence c'_i = c_i + c'_{i-e}; numerators multiply
-factor by factor, so no dense inversion of large products is ever needed.
+via the prefix recurrence c'_i = c_i + c'_{i-e}, which is a running sum
+over each residue class mod e: the sums run in itertools.accumulate, one
+call per class when e is small and one map(add) per block of e when e is
+large, so no Python loop runs per coefficient. A numerator factor
+(1 - q^e) is one map(sub) over the tail. No dense inversion of a large
+product is ever needed.
 
 lhs_series / rhs_series build the two sides of the finite-bound identity;
 the coefficient of q^n on the left counts A(n,k,d,m) and on the right
-counts B(n,k,d,m). solutionI_check verifies the classical identity behind
-the original Monthly problem.
+counts B(n,k,d,m). Each side applies the Pochhammer products exactly as
+the paper writes them. Numerator factors are never cancelled against
+denominator factors, and the two sides share no intermediate: after
+cancellation both sides reduce to the same multiset of exponents, so
+checking lhs == rhs would prove nothing. solutionI_check verifies the
+classical identity behind the original Monthly problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import DegreeMismatch, DomainError, OutOfRange
 
@@ -26,6 +36,8 @@ class TruncatedSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        if self.truncation_degree < 0:
+            raise DomainError(f"truncation degree must be >= 0, got {self.truncation_degree}")
         if len(self.coefficients) != self.truncation_degree + 1:
             raise ValueError("coefficient list must have length N + 1")
 
@@ -55,21 +67,38 @@ class TruncatedSeries:
         return self.coefficients[e]
 
     def times_factor(self, e: int) -> "TruncatedSeries":
-        """Multiply by (1 - q^e)."""
-        N = self.truncation_degree
-        out = list(self.coefficients)
-        for i in range(N, e - 1, -1):
-            out[i] -= self.coefficients[i - e]
-        return TruncatedSeries(N, tuple(out))
+        """Multiply by (1 - q^e): c'_i = c_i - c_{i-e}, as one map over the tail."""
+        if e < 1:
+            raise DomainError(f"factor exponent must be >= 1, got {e}")
+        c = self.coefficients
+        out = list(c[:e])
+        out.extend(map(sub, c[e:], c))
+        return TruncatedSeries(self.truncation_degree, tuple(out))
 
     def times_inverse_factor(self, e: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^e) = 1 + q^e + q^2e + ..., via prefix sums."""
+        """Multiply by 1/(1 - q^e) = 1 + q^e + q^2e + ...
+
+        c'_i = c_i + c'_{i-e} is one running sum over each residue class
+        mod e. For e*e <= N there are few classes, each summed with one
+        accumulate over its extended slice; otherwise there are few blocks
+        of e, each added to the finished block before it.
+        """
         if e < 1:
             raise DomainError(f"factor exponent must be >= 1, got {e}")
         N = self.truncation_degree
-        out = list(self.coefficients)
-        for i in range(e, N + 1):
-            out[i] += out[i - e]
+        c = self.coefficients
+        if e == 1:
+            return TruncatedSeries(N, tuple(accumulate(c)))
+        if e * e <= N:
+            out = list(c)
+            for r in range(e):
+                out[r::e] = accumulate(c[r::e])
+        else:
+            block = c[:e]
+            out = list(block)
+            for i in range(e, N + 1, e):
+                block = list(map(add, c[i:i + e], block))
+                out += block
         return TruncatedSeries(N, tuple(out))
 
 
@@ -167,6 +196,8 @@ def first_difference(s: TruncatedSeries, t: TruncatedSeries) -> tuple[int, int, 
     """(exponent, coeff_s, coeff_t) at the first disagreement, or None."""
     if s.truncation_degree != t.truncation_degree:
         raise DegreeMismatch("cannot compare series of different degrees")
+    if s.coefficients == t.coefficients:
+        return None
     for e, (a, b) in enumerate(zip(s.coefficients, t.coefficients)):
         if a != b:
             return e, a, b

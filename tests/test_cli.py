@@ -197,6 +197,11 @@ def test_env_budget(monkeypatch, capsys):
                      id="verify-range-negative"),
         pytest.param(None, ["verify", "--n", "5..3", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-reversed"),
         pytest.param(None, ["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
+        pytest.param(None, ["verify", "--n", "1_0", "--k", "1", "--d", "2", "--m", "2"], id="verify-n-underscore"),
+        pytest.param(None, ["map", "3", "--params", "\u0663,1,2,2"], id="params-arabic-digit"),
+        pytest.param(None, ["series", "--k", "\u0663", "--d", "2", "--m", "2"], id="series-k-arabic-digit"),
+        pytest.param("\uff11\uff10\uff10\uff10", ["count", "--params", "7,2,2,4", "--class", "A"],
+                     id="env-budget-fullwidth"),
     ],
 )
 def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):

@@ -1,7 +1,9 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from parteq.classes import ClassParams, enumerate_A, enumerate_B
-from parteq.errors import DegreeMismatch, OutOfRange
+from parteq.errors import DegreeMismatch, DomainError, OutOfRange
 from parteq.qseries import (
     PochhammerSpec,
     TruncatedSeries,
@@ -10,7 +12,26 @@ from parteq.qseries import (
     lhs_series,
     rhs_series,
     solutionI_check,
+    solutionI_sides,
 )
+
+
+def times_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
+    """Reference (1 - q^e) * s, one coefficient at a time."""
+    N = s.truncation_degree
+    out = list(s.coefficients)
+    for i in range(N, e - 1, -1):
+        out[i] -= s.coefficients[i - e]
+    return TruncatedSeries(N, tuple(out))
+
+
+def times_inverse_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
+    """Reference s / (1 - q^e) by the prefix recurrence, one coefficient at a time."""
+    N = s.truncation_degree
+    out = list(s.coefficients)
+    for i in range(e, N + 1):
+        out[i] += out[i - e]
+    return TruncatedSeries(N, tuple(out))
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -94,6 +115,47 @@ def test_times_inverse_factor_matches_inverse():
     N = 20
     s = TruncatedSeries.one(N).times_inverse_factor(3)
     assert s == inverse(pochhammer(PochhammerSpec(3, 1, 1), N))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_factor_kernels_match_reference_loops(data):
+    # every e from 1 to N + 2 covers e*e <= N, e*e > N, e = N and e > N
+    N = data.draw(st.integers(min_value=0, max_value=80), label="N")
+    coeff = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**80), max_value=2**80))
+    s = TruncatedSeries(N, tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1), label="c")))
+    for e in range(1, N + 3):
+        assert s.times_factor(e) == times_factor_loop(s, e)
+        assert s.times_inverse_factor(e) == times_inverse_factor_loop(s, e)
+
+
+def test_grid_series_match_reference_loops(monkeypatch):
+    N = 300
+    grid = [(k, d, m) for k in range(1, 7) for d in range(1, 5) for m in range(1, 9)]
+    fast = [(lhs_series(*kdm, N), rhs_series(*kdm, N)) for kdm in grid]
+    monkeypatch.setattr(TruncatedSeries, "times_factor", times_factor_loop)
+    monkeypatch.setattr(TruncatedSeries, "times_inverse_factor", times_inverse_factor_loop)
+    assert fast == [(lhs_series(*kdm, N), rhs_series(*kdm, N)) for kdm in grid]
+
+
+@pytest.mark.parametrize("e", [0, -1])
+def test_factor_exponent_below_1_rejected(e):
+    s = TruncatedSeries.from_coefficients([1, 2, 3, 4])
+    with pytest.raises(DomainError):
+        s.times_factor(e)
+    with pytest.raises(DomainError):
+        s.times_inverse_factor(e)
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(DomainError):
+        TruncatedSeries.one(-1)
+    with pytest.raises(DomainError):
+        lhs_series(1, 1, 1, -1)
+    with pytest.raises(DomainError):
+        rhs_series(1, 1, 1, -1)
+    with pytest.raises(DomainError):
+        solutionI_sides(1, -3)
 
 
 def test_coefficient_out_of_range():
