@@ -153,10 +153,14 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
 
 
 def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
-    """Split into (parts divisible by d, the rest)."""
-    div = [(p, c) for p, c in lam.entries if p % d == 0]
-    rest = [(p, c) for p, c in lam.entries if p % d != 0]
-    return Partition.from_pairs(div), Partition.from_pairs(rest)
+    """Split into (parts divisible by d, the rest).
+
+    Both are subsequences of lam's entries, so they stay canonical.
+    """
+    div = tuple((p, c) for p, c in lam.entries if p % d == 0)
+    rest = tuple((p, c) for p, c in lam.entries if p % d != 0)
+    mu = Partition._trusted(div)
+    return mu, Partition._trusted(rest, lam.weight() - mu.weight())
 
 
 def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
@@ -174,9 +178,11 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     if any(mult % d != 0 for _, mult in mu_star.entries):
         raise InternalError("conjugate of d-divisible subpartition has a multiplicity not divisible by d")
 
+    # Both splits walk mu_star's entries in descending order, and c // d
+    # >= 1 because d divides every multiplicity, so both stay canonical.
     cut = min(m, k)
-    mu_star_0 = Partition.from_pairs((p, c) for p, c in mu_star.entries if p <= cut)
-    epsilon = Partition.from_pairs((d * p, c // d) for p, c in mu_star.entries if p > cut)
+    mu_star_0 = Partition._trusted(tuple((p, c) for p, c in mu_star.entries if p <= cut))
+    epsilon = Partition._trusted(tuple((d * p, c // d) for p, c in mu_star.entries if p > cut))
 
     delta = finite_glaisher_forward(o, d, m)
     kappa = mu_star_0 + epsilon + delta
@@ -217,9 +223,11 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
             # only reachable for m < k; membership guarantees d | part
             eps_pairs.append((part, mult))
 
-    mu_star_0 = Partition.from_pairs(mu0_pairs)
-    epsilon = Partition.from_pairs(eps_pairs)
-    delta = Partition.from_pairs(delta_pairs)
+    # Each list took a subsequence of kappa's descending parts, with
+    # multiplicities >= 1, so each is canonical as built.
+    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
+    epsilon = Partition._trusted(tuple(eps_pairs))
+    delta = Partition._trusted(tuple(delta_pairs))
 
     mu_star = mu_star_0 + Partition.from_pairs((p // d, c * d) for p, c in epsilon.entries)
     if mu_star.multiplicity(k) < d:

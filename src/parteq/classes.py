@@ -11,7 +11,8 @@ B(n,k,d,m), branching on m vs k:
           (m, m*d] unrestricted in multiplicity).
 
 Enumeration is by brute force over all partitions of n in descending
-lexicographic order of part sequences, guarded by a configurable budget.
+lexicographic order of part sequences, generated directly as
+(part, multiplicity) entries and guarded by a configurable budget.
 The independent count comes from the q-series module.
 """
 
@@ -117,17 +118,38 @@ def enumerate_partitions(
     if total > cap:
         raise BudgetExceeded(f"{total} partitions of {n} exceeds budget {cap}")
     bound = n if max_part is None else min(max_part, n)
-
-    def gen(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    for seq in gen(n, bound):
-        yield Partition.from_parts(seq)
+    if n == 0:
+        yield Partition._trusted((), 0)
+        return
+    if bound < 1:
+        return
+    # Descending lex order in multiplicity form (Knuth, TAOCP 4A
+    # 7.2.1.4): the first partition takes as many copies of the bound as
+    # fit, then the remainder. Each successor drops the trailing 1s, takes
+    # one copy off the smallest remaining part p, and refills p plus the
+    # dropped 1s greedily with parts <= p - 1. Every entry list stays
+    # strictly descending with multiplicities >= 1.
+    mult, rest = divmod(n, bound)
+    entries = [(bound, mult)]
+    if rest:
+        entries.append((rest, 1))
+    while True:
+        yield Partition._trusted(tuple(entries), n)
+        part, mult = entries.pop()
+        freed = 0
+        if part == 1:
+            if not entries:
+                return
+            freed = mult
+            part, mult = entries.pop()
+        if mult > 1:
+            entries.append((part, mult - 1))
+        freed += part
+        part -= 1
+        mult, rest = divmod(freed, part)
+        entries.append((part, mult))
+        if rest:
+            entries.append((rest, 1))
 
 
 def is_in_A(p: Partition, params: ClassParams) -> bool:

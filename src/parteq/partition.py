@@ -13,7 +13,9 @@ and no leading zeros. The empty string denotes the empty partition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
+from operator import mul
 from typing import Iterable
 
 from .errors import ParseError
@@ -23,18 +25,45 @@ _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of a nonnegative integer, as (part, multiplicity) pairs."""
+    """A partition of a nonnegative integer, as (part, multiplicity) pairs.
+
+    The weight is computed once, at construction; it takes no part in
+    equality, hashing or repr.
+    """
 
     entries: tuple[tuple[int, int], ...] = ()
+    _weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         prev = None
+        weight = 0
         for part, mult in self.entries:
             if part < 1 or mult < 1:
                 raise ValueError(f"invalid entry ({part}, {mult}): parts and multiplicities must be >= 1")
             if prev is not None and part >= prev:
                 raise ValueError("entries must be strictly descending by part")
             prev = part
+            weight += part * mult
+        object.__setattr__(self, "_weight", weight)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...], weight: int | None = None) -> "Partition":
+        """Wrap entries that are canonical by construction, without validating.
+
+        Only for callers whose entries are strictly descending with every
+        part and multiplicity >= 1 because of how they were built; weight,
+        when given, must be their weight. Any other input goes through
+        Partition(...) or from_pairs.
+        """
+        if weight is None:
+            weight = sum(starmap(mul, entries))
+        p = object.__new__(cls)
+        # the instance dict, written directly: the same fields __init__
+        # sets, without the frozen __setattr__ guard
+        attrs = p.__dict__
+        attrs["entries"] = entries
+        attrs["_weight"] = weight
+        return p
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -53,7 +82,7 @@ class Partition:
 
     def weight(self) -> int:
         """Sum of all parts with multiplicity (the 'n' this partitions)."""
-        return sum(part * mult for part, mult in self.entries)
+        return self._weight
 
     def largest_part(self) -> int:
         """Largest part, 0 for the empty partition."""
@@ -74,8 +103,6 @@ class Partition:
         Part i of the result occurs (#parts >= i) - (#parts >= i+1) times;
         equivalently the columns of the diagram become the rows.
         """
-        if not self.entries:
-            return Partition()
         # The column height at position i is the count of parts >= i; it is
         # constant on each run between consecutive distinct parts, so each
         # run contributes one entry (height, run length) to the conjugate.
@@ -86,13 +113,13 @@ class Partition:
             total += mult
             lower = entries[idx + 1][0] if idx + 1 < len(entries) else 0
             heights.append((total, part - lower))
-        # heights is ascending in height (descending part ⇒ growing count);
-        # as conjugate entries we need descending part = height order.
-        return Partition(tuple((h, run) for h, run in sorted(heights, reverse=True)))
+        # heights is strictly ascending in height (descending part ⇒ growing
+        # count) with every run >= 1, so reversed it is already canonical.
+        return Partition._trusted(tuple(reversed(heights)), self._weight)
 
     def add(self, other: "Partition") -> "Partition":
         """Multiset union: multiplicities add pointwise."""
-        return Partition.from_pairs(list(self.entries) + list(other.entries))
+        return Partition.from_pairs((*self.entries, *other.entries))
 
     def __add__(self, other: "Partition") -> "Partition":
         return self.add(other)

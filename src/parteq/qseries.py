@@ -42,23 +42,11 @@ class TruncatedSeries:
             raise ValueError("coefficient list must have length N + 1")
 
     @classmethod
-    def one(cls, N: int) -> "TruncatedSeries":
-        return cls(N, (1,) + (0,) * N)
-
-    @classmethod
     def monomial(cls, e: int, N: int) -> "TruncatedSeries":
         """q^e truncated at N (the zero series when e > N)."""
         coeffs = [0] * (N + 1)
         if 0 <= e <= N:
             coeffs[e] = 1
-        return cls(N, tuple(coeffs))
-
-    @classmethod
-    def from_coefficients(cls, coeffs, N: int | None = None) -> "TruncatedSeries":
-        coeffs = list(coeffs)
-        if N is None:
-            N = len(coeffs) - 1
-        coeffs = (coeffs + [0] * (N + 1))[: N + 1]
         return cls(N, tuple(coeffs))
 
     def coefficient(self, e: int) -> int:

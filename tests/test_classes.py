@@ -31,6 +31,22 @@ def partition_count_recurrence(n: int) -> int:
     return count(n, n)
 
 
+def reference_partitions(n: int, max_part: int | None = None):
+    """Reference enumerator: descending-lex part sequences built with from_parts."""
+    bound = n if max_part is None else min(max_part, n)
+
+    def gen(remaining: int, largest: int):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    for seq in gen(n, bound):
+        yield Partition.from_parts(seq)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         ClassParams(5, 0, 2, 3)
@@ -71,6 +87,15 @@ def test_enumerate_partitions_bounded():
 def test_enumerate_order_descending_lex():
     seqs = [tuple(part for part, mult in p.entries for _ in range(mult)) for p in enumerate_partitions(6)]
     assert seqs == sorted(seqs, reverse=True)
+
+
+def test_enumerate_matches_reference():
+    for n in range(0, 21):
+        for max_part in (None, *range(0, n + 2)):
+            items = list(enumerate_partitions(n, max_part))
+            assert items == list(reference_partitions(n, max_part)), (n, max_part)
+            assert all(p.weight() == n for p in items)
+            assert len(items) == count_partitions(n, max_part)
 
 
 def test_count_partitions_matches_recurrence():

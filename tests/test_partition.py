@@ -97,3 +97,20 @@ def test_invalid_construction():
         Partition(((0, 1),))
     with pytest.raises(ValueError):
         Partition(((2, 1), (3, 1)))
+    with pytest.raises(ValueError):
+        Partition(((3, 0),))
+    with pytest.raises(ValueError):
+        Partition(((1, 1), (2, 1)))
+    with pytest.raises(ValueError):
+        Partition.from_pairs([(0, 1)])
+    with pytest.raises(ValueError):
+        Partition.from_pairs([(3, -1)])
+
+
+def test_weight_field_stays_out_of_repr_eq_and_hash():
+    p = Partition(((2, 1),))
+    assert repr(p) == "Partition(entries=((2, 1),))"
+    trusted = Partition._trusted(((2, 1),))
+    assert trusted == p
+    assert hash(trusted) == hash(p)
+    assert trusted.weight() == p.weight() == 2

@@ -4,13 +4,24 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from parteq.bijection import (
+    _split_by_divisibility,
     finite_glaisher_forward,
     finite_glaisher_inverse,
     glaisher_forward,
     glaisher_inverse,
+    phi,
+    phi_inverse,
 )
 from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
 from parteq.partition import Partition
+
+TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
+
+
+def assert_canonical(p):
+    """p is what the validating constructor builds from its entries, weight included."""
+    assert p == Partition(p.entries)
+    assert p.weight() == sum(part * mult for part, mult in p.entries)
 
 
 @st.composite
@@ -111,3 +122,49 @@ def test_equinumerosity_property(n, k, d, m):
     count_a = sum(1 for p in members if is_in_A(p, params))
     count_b = sum(1 for p in members if is_in_B(p, params))
     assert count_a == count_b
+
+
+@given(partitions())
+def test_conjugate_is_canonical(p):
+    assert_canonical(p.conjugate())
+
+
+@given(partitions(), st.sampled_from([2, 3, 4, 5]))
+def test_split_by_divisibility_is_canonical(p, d):
+    div, rest = _split_by_divisibility(p, d)
+    assert_canonical(div)
+    assert_canonical(rest)
+    assert div + rest == p
+
+
+@given(st.lists(st.tuples(st.integers(1, 25), st.integers(0, 8)), max_size=10), partitions())
+def test_public_construction_paths_weigh_their_entries(pairs, r):
+    p = Partition.from_pairs(pairs)
+    assert_canonical(p)
+    assert p.weight() == sum(part * mult for part, mult in pairs)
+    assert_canonical(Partition(p.entries))
+    parts = [part for part, mult in pairs for _ in range(mult)]
+    assert_canonical(Partition.from_parts(parts))
+    assert Partition.from_parts(parts).weight() == sum(parts)
+    assert_canonical(Partition.parse(p.render()))
+    assert_canonical(p + r)
+    assert (p + r).weight() == p.weight() + r.weight()
+
+
+def test_trace_partitions_are_canonical_on_the_grid():
+    # every A and B member with n <= 14, k <= 6, 2 <= d <= 4, m <= 8
+    for n in range(0, 15):
+        members = list(enumerate_partitions(n))
+        for k in range(1, 7):
+            for d in range(2, 5):
+                for m in range(1, 9):
+                    params = ClassParams(n, k, d, m)
+                    for lam in members:
+                        traces = []
+                        if is_in_A(lam, params):
+                            traces.append(phi(lam, params)[1])
+                        if is_in_B(lam, params):
+                            traces.append(phi_inverse(lam, params)[1])
+                        for trace in traces:
+                            for name in TRACE_FIELDS:
+                                assert_canonical(getattr(trace, name))

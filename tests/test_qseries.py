@@ -16,6 +16,20 @@ from parteq.qseries import (
 )
 
 
+def one(N: int) -> TruncatedSeries:
+    """The series 1 truncated at N."""
+    return TruncatedSeries(N, (1,) + (0,) * N)
+
+
+def from_coefficients(coeffs, N: int | None = None) -> TruncatedSeries:
+    """The series with the given low coefficients, zero-padded or cut to degree N."""
+    coeffs = list(coeffs)
+    if N is None:
+        N = len(coeffs) - 1
+    coeffs = (coeffs + [0] * (N + 1))[: N + 1]
+    return TruncatedSeries(N, tuple(coeffs))
+
+
 def times_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
     """Reference (1 - q^e) * s, one coefficient at a time."""
     N = s.truncation_degree
@@ -48,7 +62,7 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
 
 def pochhammer(spec: PochhammerSpec, N: int) -> TruncatedSeries:
     """(q^offset; q^step)_length truncated at N, through the library's factor loop."""
-    return _times_pochhammer(TruncatedSeries.one(N), spec)
+    return _times_pochhammer(one(N), spec)
 
 
 def brute_force_odd_partitions(n: int) -> int:
@@ -67,7 +81,7 @@ def brute_force_odd_partitions(n: int) -> int:
 
 
 def test_one_and_monomial():
-    s = TruncatedSeries.one(4)
+    s = one(4)
     assert s.coefficients == (1, 0, 0, 0, 0)
     assert TruncatedSeries.monomial(2, 4).coefficients == (0, 0, 1, 0, 0)
     assert TruncatedSeries.monomial(9, 4).coefficients == (0, 0, 0, 0, 0)
@@ -75,33 +89,33 @@ def test_one_and_monomial():
 
 def test_mul_identity():
     # a factor (1 - q^e) with e beyond the truncation degree changes nothing
-    s = TruncatedSeries.from_coefficients([3, -1, 2, 0, 5])
+    s = from_coefficients([3, -1, 2, 0, 5])
     assert s.times_factor(5) == s
 
 
 def test_mul_geometric_telescopes():
     N = 12
-    geometric = TruncatedSeries.from_coefficients([1] * (N + 1), N)
-    assert geometric.times_factor(1) == TruncatedSeries.one(N)
+    geometric = from_coefficients([1] * (N + 1), N)
+    assert geometric.times_factor(1) == one(N)
 
 
 def test_mul_square():
-    s = TruncatedSeries.one(3).times_factor(1).times_factor(1)
+    s = one(3).times_factor(1).times_factor(1)
     assert s.coefficients == (1, -2, 1, 0)
 
 
 def test_mul_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        first_difference(TruncatedSeries.one(3), TruncatedSeries.one(4))
+        first_difference(one(3), one(4))
 
 
 def test_inverse_geometric():
-    s = TruncatedSeries.from_coefficients([1, -1], 8)
+    s = from_coefficients([1, -1], 8)
     assert inverse(s).coefficients == (1,) * 9
 
 
 def test_inverse_involution():
-    s = TruncatedSeries.from_coefficients([1, 3, -2, 7, 0, 1], 5)
+    s = from_coefficients([1, 3, -2, 7, 0, 1], 5)
     assert inverse(inverse(s)) == s
 
 
@@ -113,7 +127,7 @@ def test_inverse_of_single_factor_coefficient():
 
 def test_times_inverse_factor_matches_inverse():
     N = 20
-    s = TruncatedSeries.one(N).times_inverse_factor(3)
+    s = one(N).times_inverse_factor(3)
     assert s == inverse(pochhammer(PochhammerSpec(3, 1, 1), N))
 
 
@@ -140,7 +154,7 @@ def test_grid_series_match_reference_loops(monkeypatch):
 
 @pytest.mark.parametrize("e", [0, -1])
 def test_factor_exponent_below_1_rejected(e):
-    s = TruncatedSeries.from_coefficients([1, 2, 3, 4])
+    s = from_coefficients([1, 2, 3, 4])
     with pytest.raises(DomainError):
         s.times_factor(e)
     with pytest.raises(DomainError):
@@ -149,7 +163,7 @@ def test_factor_exponent_below_1_rejected(e):
 
 def test_negative_degree_rejected():
     with pytest.raises(DomainError):
-        TruncatedSeries.one(-1)
+        one(-1)
     with pytest.raises(DomainError):
         lhs_series(1, 1, 1, -1)
     with pytest.raises(DomainError):
@@ -160,13 +174,13 @@ def test_negative_degree_rejected():
 
 def test_coefficient_out_of_range():
     with pytest.raises(OutOfRange):
-        TruncatedSeries.one(3).coefficient(4)
+        one(3).coefficient(4)
     with pytest.raises(OutOfRange):
-        TruncatedSeries.one(3).coefficient(-1)
+        one(3).coefficient(-1)
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer(PochhammerSpec(1, 1, 0), 5) == TruncatedSeries.one(5)
+    assert pochhammer(PochhammerSpec(1, 1, 0), 5) == one(5)
 
 
 def test_pochhammer_two_factors():
@@ -215,8 +229,8 @@ def test_solutionI_small_cases():
 
 
 def test_first_difference_reports_position():
-    s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
-    t = TruncatedSeries.from_coefficients([1, 2, 4], 2)
+    s = from_coefficients([1, 2, 3], 2)
+    t = from_coefficients([1, 2, 4], 2)
     assert first_difference(s, t) == (2, 3, 4)
     assert first_difference(s, s) is None
 
