@@ -14,7 +14,7 @@ leaving an unrestricted overflow multiplicity on the part j*d^L_j.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classes import ClassParams, is_in_A, is_in_B
 from .errors import (
@@ -27,9 +27,11 @@ from .errors import (
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
-    """Every intermediate subpartition of one application of the bijection."""
+class BijectionTrace(NamedTuple):
+    """Every intermediate subpartition of one application of the bijection.
+
+    A named tuple, because every phi and phi_inverse call builds one.
+    """
 
     lam: Partition
     mu: Partition
@@ -121,7 +123,10 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
             scale *= d
         if mult:
             pairs.append((part * scale, mult))
-    return Partition.from_pairs(pairs)
+    # the parts j*d^l are distinct, as d does not divide j, so one sort
+    # makes the pairs canonical
+    pairs.sort(reverse=True)
+    return Partition._trusted(tuple(pairs), o.weight())
 
 
 def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
@@ -133,7 +138,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     _check_modulus(d)
     if m < 1:
         raise DomainError(f"bound must be >= 1, got {m}")
-    pairs: list[tuple[int, int]] = []
+    folded: dict[int, int] = {}
     for part, mult in delta.entries:
         if part > m * d:
             raise DomainError(f"part {part} exceeds {m * d}")
@@ -148,8 +153,8 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
         # this holds by uniqueness of L_j but is checked, not assumed.
         if part > m and l != bound_exponent(j, d, m):
             raise InternalError(f"part {part} not of the form j*d^L_j")
-        pairs.append((j, mult * scale))
-    return Partition.from_pairs(pairs)
+        folded[j] = folded.get(j, 0) + mult * scale
+    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)), delta.weight())
 
 
 def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
@@ -185,7 +190,10 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     epsilon = Partition._trusted(tuple((d * p, c // d) for p, c in mu_star.entries if p > cut))
 
     delta = finite_glaisher_forward(o, d, m)
-    kappa = mu_star_0 + epsilon + delta
+    # every epsilon part d*p has p > cut >= every mu_star_0 part, so
+    # epsilon's entries followed by mu_star_0's are canonical
+    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries, epsilon.weight() + mu_star_0.weight())
+    kappa += delta
 
     if kappa.weight() != params.n or not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
@@ -229,7 +237,12 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     epsilon = Partition._trusted(tuple(eps_pairs))
     delta = Partition._trusted(tuple(delta_pairs))
 
-    mu_star = mu_star_0 + Partition.from_pairs((p // d, c * d) for p, c in epsilon.entries)
+    # epsilon's parts exceed m*d and d divides them (membership), so each
+    # rescaled part p // d exceeds m >= cut >= every mu_star_0 part
+    mu_star = Partition._trusted(
+        tuple((p // d, c * d) for p, c in epsilon.entries) + mu_star_0.entries,
+        epsilon.weight() + mu_star_0.weight(),
+    )
     if mu_star.multiplicity(k) < d:
         raise InternalError("reconstructed conjugate lacks d copies of the distinguished part")
 

@@ -104,19 +104,36 @@ def count_partitions(n: int, max_part: int | None = None) -> int:
     return ways[n] if n > 0 else 1
 
 
+def check_budget(n: int, max_part: int | None = None, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when n has more partitions into parts <= max_part than the cap.
+
+    A partition of t < n plus n - t parts 1 is one of n, so t's count is
+    at most n's. The counts of t = 64, 128, ... below n are taken first,
+    and the first past the cap settles it: an n far over the cap costs
+    time bounded by the cap, not by n.
+    """
+    cap = effective_budget(budget)
+    t = 64
+    while t < n:
+        total = count_partitions(t, max_part)
+        if total > cap:
+            raise BudgetExceeded(f"partitions of {n} exceed budget {cap}: {t} alone has {total}")
+        t *= 2
+    total = count_partitions(n, max_part)
+    if total > cap:
+        raise BudgetExceeded(f"{total} partitions of {n} exceeds budget {cap}")
+
+
 def enumerate_partitions(
     n: int, max_part: int | None = None, budget: int | None = None
 ) -> Iterator[Partition]:
     """All partitions of n with parts <= max_part, descending lex order.
 
-    Raises BudgetExceeded up front when the DP count exceeds the cap.
+    Raises BudgetExceeded up front when their count exceeds the cap.
     """
     if n < 0:
         return
-    cap = effective_budget(budget)
-    total = count_partitions(n, max_part)
-    if total > cap:
-        raise BudgetExceeded(f"{total} partitions of {n} exceeds budget {cap}")
+    check_budget(n, max_part, budget)
     bound = n if max_part is None else min(max_part, n)
     if n == 0:
         yield Partition._trusted((), 0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .bijection import phi, phi_inverse
 from .classes import (
     ClassParams,
+    check_budget,
     effective_budget,
     enumerate_A,
     enumerate_B,
@@ -150,7 +151,16 @@ def cmd_verify(args) -> int:
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
     # every lower bound, so a bad one fails before any series is built
     ClassParams(ns[0], *kdms[0])
-    series = {kdm: (lhs_series(*kdm, ns[-1]), rhs_series(*kdm, ns[-1])) for kdm in kdms}
+    # p(n) never falls as n grows, so the n that fit the budget are the
+    # ones before the first that does not, and the series stop at the last
+    top = 0
+    for n in ns:
+        try:
+            check_budget(n, budget=budget)
+        except BudgetExceeded:
+            break
+        top = n
+    series = {kdm: (lhs_series(*kdm, top), rhs_series(*kdm, top)) for kdm in kdms}
     records = []
     any_fail = False
     any_budget = False

@@ -70,9 +70,12 @@ class Partition:
         """Build from (part, multiplicity) pairs in any order; merges duplicates."""
         acc: dict[int, int] = {}
         for part, mult in pairs:
-            if mult == 0:
-                continue
-            acc[part] = acc.get(part, 0) + mult
+            # checked per pair, so a negative multiplicity cannot hide
+            # behind another pair for the same part
+            if part < 1 or mult < 0:
+                raise ValueError(f"invalid pair ({part}, {mult}): parts must be >= 1, multiplicities >= 0")
+            if mult:
+                acc[part] = acc.get(part, 0) + mult
         return cls(tuple(sorted(acc.items(), reverse=True)))
 
     @classmethod
@@ -118,11 +121,37 @@ class Partition:
         return Partition._trusted(tuple(reversed(heights)), self._weight)
 
     def add(self, other: "Partition") -> "Partition":
-        """Multiset union: multiplicities add pointwise."""
-        return Partition.from_pairs((*self.entries, *other.entries))
+        """Multiset union: multiplicities add pointwise.
 
-    def __add__(self, other: "Partition") -> "Partition":
-        return self.add(other)
+        One merge of the two descending entry lists; a part in both gets
+        the sum of its multiplicities, so the result is canonical as built.
+        """
+        a, b = self.entries, other.entries
+        if not b:
+            return self
+        if not a:
+            return other
+        merged = []
+        len_a, len_b = len(a), len(b)
+        i = j = 0
+        while i < len_a and j < len_b:
+            x = a[i]
+            y = b[j]
+            if x[0] > y[0]:
+                merged.append(x)
+                i += 1
+            elif x[0] < y[0]:
+                merged.append(y)
+                j += 1
+            else:
+                merged.append((x[0], x[1] + y[1]))
+                i += 1
+                j += 1
+        merged += a[i:]
+        merged += b[j:]
+        return Partition._trusted(tuple(merged), self._weight + other._weight)
+
+    __add__ = add
 
     def render(self) -> str:
         """Canonical text form, e.g. '7^4 6^2 5 1'. Empty partition -> ''."""

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ LAMBDA_1 = "15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"
 KAPPA_1 = "21 18 11 8 7^4 5 4^3 3^3 2^5 1"
 KAPPA_2 = "20 17 14^4 7^2 6 4^9 3^7 2^8 1^3"
 LAMBDA_2 = "24 21 20 17 15 14^4 9 7^2 2^5 1^3"
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -37,6 +43,23 @@ def test_map_trace_output(capsys):
     assert doc["kappa"] == KAPPA_1
     assert doc["epsilon"] == "21 18"
     assert doc["delta"] == "11 8 7^4 5 2^2 1"
+
+
+# sha256 of `parteq map --trace` stdout on both golden examples; any
+# change to the trace's fields, their order or their rendering shows here
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param([LAMBDA_1, "--params", "123,7,3,4"],
+                     "4beb221c5dbc4f7cba915fc863c1bb17cdb726e2eaeed7413098aaf15123fd55", id="lambda-1-forward"),
+        pytest.param([KAPPA_2, "--params", "189,4,3,7", "--inverse"],
+                     "5303630087ba34a13e991d4f003e716c94c9dacf165930191110e9fec3f2ddd4", id="kappa-2-inverse"),
+    ],
+)
+def test_map_trace_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "map", *argv, "--trace")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_map_not_in_class(capsys):
@@ -117,6 +140,20 @@ def test_verify_budget_error_is_per_point(capsys):
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert any("error" in rec for rec in records)
     assert any(rec["pass"] for rec in records)  # small n still verified
+
+
+def test_verify_rejects_huge_n_quickly():
+    # counting the partitions of n, or building series to n, would take
+    # far longer than the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "parteq.cli", "verify", "--n", "100000", "--k", "1", "--d", "2", "--m", "1", "--json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC, "PARTEQ_BUDGET": ""},
+    )
+    assert proc.returncode == 3
+    [line] = proc.stdout.splitlines()
+    rec = json.loads(line)
+    assert rec["n"] == 100000 and rec["error"].startswith("BudgetExceeded: ")
 
 
 def test_verify_bijection_error_is_per_point(monkeypatch, capsys):

@@ -105,6 +105,12 @@ def test_invalid_construction():
         Partition.from_pairs([(0, 1)])
     with pytest.raises(ValueError):
         Partition.from_pairs([(3, -1)])
+    # a negative multiplicity is rejected even when another pair for the
+    # same part would make up the deficit
+    with pytest.raises(ValueError):
+        Partition.from_pairs([(3, -1), (3, 2)])
+    with pytest.raises(ValueError):
+        Partition.from_pairs([(5, -2), (5, 3), (1, 1)])
 
 
 def test_weight_field_stays_out_of_repr_eq_and_hash():

@@ -94,19 +94,25 @@ def test_divisible_parts_conjugate_to_divisible_multiplicities(n, d):
 def test_glaisher_round_trip(d, data):
     o = data.draw(d_free_partitions(d, max_part=20))
     image = glaisher_forward(o, d)
+    assert_canonical(image)
     assert image.weight() == o.weight()
     assert all(mult < d for _, mult in image.entries)
-    assert glaisher_inverse(image, d) == o
+    back = glaisher_inverse(image, d)
+    assert_canonical(back)
+    assert back == o
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(min_value=1, max_value=8), st.data())
 def test_finite_glaisher_round_trip_and_bounds(d, m, data):
     o = data.draw(d_free_partitions(d, max_part=m * d - 1))
     image = finite_glaisher_forward(o, d, m)
+    assert_canonical(image)
     assert image.weight() == o.weight()
     assert image.largest_part() <= m * d
     assert all(mult < d for part, mult in image.entries if part <= m)
-    assert finite_glaisher_inverse(image, d, m) == o
+    back = finite_glaisher_inverse(image, d, m)
+    assert_canonical(back)
+    assert back == o
 
 
 @given(
@@ -149,6 +155,17 @@ def test_public_construction_paths_weigh_their_entries(pairs, r):
     assert_canonical(Partition.parse(p.render()))
     assert_canonical(p + r)
     assert (p + r).weight() == p.weight() + r.weight()
+
+
+@given(partitions(), st.data())
+def test_add_matches_from_pairs(p, data):
+    # r shares some of p's parts, so the merge sums multiplicities
+    shared = data.draw(st.lists(st.sampled_from(p.entries), unique=True) if p.entries else st.just([]))
+    r = Partition.from_pairs((*data.draw(partitions()).entries, *shared))
+    for left, right in ((p, r), (r, p), (p, Partition()), (Partition(), r)):
+        total = left + right
+        assert total == Partition.from_pairs((*left.entries, *right.entries))
+        assert_canonical(total)
 
 
 def test_trace_partitions_are_canonical_on_the_grid():
