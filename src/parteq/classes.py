@@ -12,21 +12,20 @@ B(n,k,d,m), branching on m vs k:
 
 Enumeration is by brute force over all partitions of n in descending
 lexicographic order of part sequences, generated directly as
-(part, multiplicity) entries and guarded by a configurable budget.
+(part, multiplicity) entries. The enumerators take no cap; check_budget
+tells a caller whether the partitions of n fit one.
 The independent count comes from the q-series module.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded, DomainError
 from .partition import Partition
-
-DEFAULT_BUDGET = 10_000_000
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
@@ -74,82 +73,59 @@ class ClassParams:
         return cls(n, k, d, m)
 
 
-def effective_budget(budget: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit arg, else PARTEQ_BUDGET, else default."""
-    if budget is None:
-        env = os.environ.get("PARTEQ_BUDGET")
-        try:
-            budget = parse_int(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise DomainError(f"budget must be >= 0, got {budget}")
-    return budget
-
-
-def count_partitions(n: int, max_part: int | None = None) -> int:
-    """Number of partitions of n into parts <= max_part, by the standard DP.
+@functools.cache
+def count_partitions(n: int) -> int:
+    """Number of partitions of n, by the standard DP, computed once per n.
 
     Used both as the up-front budget estimate and as an independent oracle
     for the enumerator in tests.
     """
     if n < 0:
         return 0
-    cap = n if max_part is None else min(max_part, n)
     ways = [0] * (n + 1)
     ways[0] = 1
-    for part in range(1, cap + 1):
+    for part in range(1, n + 1):
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
-    return ways[n] if n > 0 else 1
+    return ways[n]
 
 
-def check_budget(n: int, max_part: int | None = None, budget: int | None = None) -> None:
-    """Raise BudgetExceeded when n has more partitions into parts <= max_part than the cap.
+def check_budget(n: int, cap: int) -> None:
+    """Raise BudgetExceeded when n has more partitions than cap.
 
     A partition of t < n plus n - t parts 1 is one of n, so t's count is
     at most n's. The counts of t = 64, 128, ... below n are taken first,
     and the first past the cap settles it: an n far over the cap costs
     time bounded by the cap, not by n.
     """
-    cap = effective_budget(budget)
     t = 64
     while t < n:
-        total = count_partitions(t, max_part)
+        total = count_partitions(t)
         if total > cap:
             raise BudgetExceeded(f"partitions of {n} exceed budget {cap}: {t} alone has {total}")
         t *= 2
-    total = count_partitions(n, max_part)
+    total = count_partitions(n)
     if total > cap:
         raise BudgetExceeded(f"{total} partitions of {n} exceeds budget {cap}")
 
 
-def enumerate_partitions(
-    n: int, max_part: int | None = None, budget: int | None = None
-) -> Iterator[Partition]:
-    """All partitions of n with parts <= max_part, descending lex order.
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n, descending lex order.
 
-    Raises BudgetExceeded up front when their count exceeds the cap.
+    There is no cap here: a caller that takes n from outside the program
+    calls check_budget first.
     """
     if n < 0:
         return
-    check_budget(n, max_part, budget)
-    bound = n if max_part is None else min(max_part, n)
     if n == 0:
         yield Partition._trusted((), 0)
         return
-    if bound < 1:
-        return
     # Descending lex order in multiplicity form (Knuth, TAOCP 4A
-    # 7.2.1.4): the first partition takes as many copies of the bound as
-    # fit, then the remainder. Each successor drops the trailing 1s, takes
-    # one copy off the smallest remaining part p, and refills p plus the
-    # dropped 1s greedily with parts <= p - 1. Every entry list stays
-    # strictly descending with multiplicities >= 1.
-    mult, rest = divmod(n, bound)
-    entries = [(bound, mult)]
-    if rest:
-        entries.append((rest, 1))
+    # 7.2.1.4): the first partition is n itself. Each successor drops
+    # the trailing 1s, takes one copy off the smallest remaining part p,
+    # and refills p plus the dropped 1s greedily with parts <= p - 1.
+    # Every entry list stays strictly descending with multiplicities >= 1.
+    entries = [(n, 1)]
     while True:
         yield Partition._trusted(tuple(entries), n)
         part, mult = entries.pop()
@@ -204,16 +180,16 @@ def is_in_B(p: Partition, params: ClassParams) -> bool:
     return True
 
 
-def enumerate_A(params: ClassParams, budget: int | None = None) -> Iterator[Partition]:
+def enumerate_A(params: ClassParams) -> Iterator[Partition]:
     """Members of A(n,k,d,m) in descending lex order."""
-    for p in enumerate_partitions(params.n, budget=budget):
+    for p in enumerate_partitions(params.n):
         if is_in_A(p, params):
             yield p
 
 
-def enumerate_B(params: ClassParams, budget: int | None = None) -> Iterator[Partition]:
+def enumerate_B(params: ClassParams) -> Iterator[Partition]:
     """Members of B(n,k,d,m) in descending lex order."""
-    for p in enumerate_partitions(params.n, budget=budget):
+    for p in enumerate_partitions(params.n):
         if is_in_B(p, params):
             yield p
 

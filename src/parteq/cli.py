@@ -9,8 +9,10 @@ error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ from .bijection import phi, phi_inverse
 from .classes import (
     ClassParams,
     check_budget,
-    effective_budget,
     enumerate_A,
     enumerate_B,
     enumerate_partitions,
@@ -43,6 +44,21 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def effective_budget(budget: int | None) -> int:
+    """Resolve the enumeration cap: explicit arg, else PARTEQ_BUDGET, else default."""
+    if budget is None:
+        env = os.environ.get("PARTEQ_BUDGET")
+        try:
+            budget = parse_int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 @dataclass
@@ -120,11 +136,13 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         return
     if not records:
         return
-    keys = list(records[0].keys())
+    # A record has an error key only when it has an error, and elapsed is
+    # in all records or none, so the longest has every column, in order
+    keys = list(max(records, key=len))
     if fmt == "csv":
-        out.write(",".join(keys) + "\n")
-        for rec in records:
-            out.write(",".join("" if rec.get(k) is None else str(rec.get(k)) for k in keys) + "\n")
+        writer = csv.DictWriter(out, keys, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
         return
     widths = {k: max(len(k), *(len(str(rec.get(k))) for rec in records)) for k in keys}
     out.write("  ".join(k.ljust(widths[k]) for k in keys) + "\n")
@@ -145,44 +163,38 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args) -> int:
-    budget = effective_budget(args.budget)
+    cap = effective_budget(args.budget)
     ns = _parse_range(args.n)
     kdms = list(itertools.product(_parse_range(args.k), _parse_range(args.d), _parse_range(args.m)))
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
     # every lower bound, so a bad one fails before any series is built
     ClassParams(ns[0], *kdms[0])
-    # p(n) never falls as n grows, so the n that fit the budget are the
-    # ones before the first that does not, and the series stop at the last
+    # the error of each n over the budget; the series stop at the last n
+    # within it
+    over = {}
     top = 0
     for n in ns:
         try:
-            check_budget(n, budget=budget)
-        except BudgetExceeded:
-            break
-        top = n
+            check_budget(n, cap)
+        except BudgetExceeded as exc:
+            over[n] = f"BudgetExceeded: {exc}"
+        else:
+            top = n
     series = {kdm: (lhs_series(*kdm, top), rhs_series(*kdm, top)) for kdm in kdms}
     records = []
     any_fail = False
-    any_budget = False
     for n in ns:
-        try:
-            members = list(enumerate_partitions(n, budget=budget))
-        except BudgetExceeded as exc:
-            members = None
-            any_budget = True
-            error = f"BudgetExceeded: {exc}"
-        for kdm in kdms:
-            params = ClassParams(n, *kdm)
-            if members is None:
-                report = VerifyReport(params=params, error=error, elapsed=0.0)
-            else:
-                report = verify_point(params, members, *series[kdm])
-                any_fail = any_fail or not report.passed
-            records.append(report.to_record(timing=args.timing))
+        if n in over:
+            reports = [VerifyReport(params=ClassParams(n, *kdm), error=over[n], elapsed=0.0) for kdm in kdms]
+        else:
+            members = list(enumerate_partitions(n))
+            reports = [verify_point(ClassParams(n, *kdm), members, *series[kdm]) for kdm in kdms]
+            any_fail = any_fail or not all(report.passed for report in reports)
+        records.extend(report.to_record(timing=args.timing) for report in reports)
     _emit(records, args.format, sys.stdout)
     if any_fail:
         return EXIT_FAIL
-    if any_budget:
+    if over:
         return EXIT_BUDGET
     return EXIT_PASS
 
@@ -203,10 +215,11 @@ def cmd_map(args) -> int:
 
 def cmd_count(args) -> int:
     params = ClassParams.parse(args.params)
-    budget = effective_budget(args.budget)
+    cap = effective_budget(args.budget)
     if args.method == "enumerate":
+        check_budget(params.n, cap)
         members = enumerate_A if args.cls == "A" else enumerate_B
-        value = sum(1 for _ in members(params, budget=budget))
+        value = sum(1 for _ in members(params))
     else:
         build = lhs_series if args.cls == "A" else rhs_series
         value = build(params.k, params.d, params.m, params.n).coefficient(params.n)

@@ -2,6 +2,7 @@ import pytest
 
 from parteq.classes import (
     ClassParams,
+    check_budget,
     count_partitions,
     enumerate_A,
     enumerate_B,
@@ -9,6 +10,7 @@ from parteq.classes import (
     is_in_A,
     is_in_B,
 )
+from parteq.cli import DEFAULT_BUDGET, effective_budget
 from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import EMPTY, Partition
 
@@ -31,9 +33,8 @@ def partition_count_recurrence(n: int) -> int:
     return count(n, n)
 
 
-def reference_partitions(n: int, max_part: int | None = None):
+def reference_partitions(n: int):
     """Reference enumerator: descending-lex part sequences built with from_parts."""
-    bound = n if max_part is None else min(max_part, n)
 
     def gen(remaining: int, largest: int):
         if remaining == 0:
@@ -43,7 +44,7 @@ def reference_partitions(n: int, max_part: int | None = None):
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for seq in gen(n, bound):
+    for seq in gen(n, n):
         yield Partition.from_parts(seq)
 
 
@@ -79,11 +80,6 @@ def test_enumerate_partitions_p7():
     assert all(p.weight() == 7 for p in items)
 
 
-def test_enumerate_partitions_bounded():
-    items = list(enumerate_partitions(4, max_part=2))
-    assert [p.render() for p in items] == ["2^2", "2 1^2", "1^4"]
-
-
 def test_enumerate_order_descending_lex():
     seqs = [tuple(part for part, mult in p.entries for _ in range(mult)) for p in enumerate_partitions(6)]
     assert seqs == sorted(seqs, reverse=True)
@@ -91,11 +87,10 @@ def test_enumerate_order_descending_lex():
 
 def test_enumerate_matches_reference():
     for n in range(0, 21):
-        for max_part in (None, *range(0, n + 2)):
-            items = list(enumerate_partitions(n, max_part))
-            assert items == list(reference_partitions(n, max_part)), (n, max_part)
-            assert all(p.weight() == n for p in items)
-            assert len(items) == count_partitions(n, max_part)
+        items = list(enumerate_partitions(n))
+        assert items == list(reference_partitions(n)), n
+        assert all(p.weight() == n for p in items)
+        assert len(items) == count_partitions(n)
 
 
 def test_count_partitions_matches_recurrence():
@@ -104,16 +99,21 @@ def test_count_partitions_matches_recurrence():
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_partitions(40, budget=100))
+    # p(10) = 42; p(64) = 1741630 settles every n past 64
+    check_budget(10, 42)
+    with pytest.raises(BudgetExceeded, match="^42 partitions of 10 exceeds budget 41$"):
+        check_budget(10, 41)
+    check_budget(64, 1741630)
+    with pytest.raises(BudgetExceeded, match="^partitions of 65 exceed budget 1741629: 64 alone has 1741630$"):
+        check_budget(65, 1741629)
 
 
 def test_budget_env_override(monkeypatch):
+    monkeypatch.delenv("PARTEQ_BUDGET", raising=False)
+    assert effective_budget(None) == DEFAULT_BUDGET
     monkeypatch.setenv("PARTEQ_BUDGET", "5")
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_partitions(10))
-    monkeypatch.setenv("PARTEQ_BUDGET", "1000")
-    assert len(list(enumerate_partitions(10))) == 42
+    assert effective_budget(None) == 5
+    assert effective_budget(1000) == 1000
 
 
 def test_is_in_A_worked_example():

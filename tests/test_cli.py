@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from parteq.classes import count_partitions
 from parteq.cli import main
 from parteq.partition import EMPTY
 
@@ -142,6 +144,16 @@ def test_verify_budget_error_is_per_point(capsys):
     assert any(rec["pass"] for rec in records)  # small n still verified
 
 
+def test_verify_counts_each_n_once(capsys):
+    # every n past 64 is settled by the count of 64 alone, so the sweep
+    # needs the counts of 0..64 and nothing else
+    count_partitions.cache_clear()
+    code, _, _ = run(capsys, "verify", "--n", "0..3000", "--k", "1", "--d", "2", "--m", "1",
+                     "--budget", "1000", "--json")
+    assert code == 3
+    assert count_partitions.cache_info().misses <= 65
+
+
 def test_verify_rejects_huge_n_quickly():
     # counting the partitions of n, or building series to n, would take
     # far longer than the timeout
@@ -164,6 +176,20 @@ def test_verify_bijection_error_is_per_point(monkeypatch, capsys):
     assert [rec["pass"] for rec in records] == [True, False, True, False]
     assert records[1]["error"].startswith("NotInClassB: ")
     assert records[1]["count_A"] == records[1]["coeff_rhs"] == 1
+
+
+def test_verify_csv_keeps_every_error(monkeypatch, capsys):
+    monkeypatch.setattr("parteq.cli.phi", lambda lam, params: (EMPTY, None))
+    argv = ["verify", "--n", "3..4", "--k", "1", "--d", "1..2", "--m", "2"]
+    _, out, _ = run(capsys, *argv, "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    code, out, _ = run(capsys, *argv, "--csv")
+    assert code == 1
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == len(records) == 4
+    # the message names B(3, 1, 2, 2), commas and all
+    assert "," in records[1]["error"]
+    assert [row["error"] for row in rows] == [rec.get("error", "") for rec in records]
 
 
 def test_verify_output_deterministic(capsys):
@@ -269,6 +295,9 @@ BUDGET_SWEEP = ["--n", "0..12", "--k", "1..2", "--d", "1..2", "--m", "2", "--bud
                      "db36dd0e905f49b7ba91a368fcb0583536b803a9050d7adb139e8dc89a94c9f3", id="table"),
         pytest.param(BUDGET_SWEEP, 3,
                      "1a01956881ed4ae9ece2678298a8c608b3ddd86fdbfcdb3362e2e8deee886a6c", id="budget"),
+        # exact counts up to n = 128, "128 alone has" past it
+        pytest.param(["--n", "77..300", "--k", "1..2", "--d", "2", "--m", "1..2", "--budget", "10000000", "--json"], 3,
+                     "93c6c4fb2f5acc2835a064f29d282d70b04a09c10915e26e7095b25c1c8755e0", id="budget-both-forms"),
     ],
 )
 def test_verify_output_bytes_pinned(capsys, argv, exit_code, digest):
