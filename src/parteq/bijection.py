@@ -109,24 +109,29 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     _check_modulus(d)
     if m < 1:
         raise DomainError(f"bound must be >= 1, got {m}")
+    md = m * d
     pairs: list[tuple[int, int]] = []
     for part, mult in o.entries:
         if part % d == 0:
             raise DomainError(f"part {part} divisible by {d}")
         # a part not divisible by d is below m*d exactly when it is at most
-        # m*d, which bound_exponent checks
-        scale = 1
-        for _ in range(bound_exponent(part, d, m)):
+        # m*d; the same check and message as bound_exponent
+        if part > md:
+            raise DomainError(f"part {part} outside (0, {md}]")
+        # one base-d digit per power of d that keeps part*d^l <= m, so the
+        # loop stops at part*d^L with L = bound_exponent(part, d, m)
+        scaled = part
+        while scaled <= m:
             mult, digit = divmod(mult, d)
             if digit:
-                pairs.append((part * scale, digit))
-            scale *= d
+                pairs.append((scaled, digit))
+            scaled *= d
         if mult:
-            pairs.append((part * scale, mult))
+            pairs.append((scaled, mult))
     # the parts j*d^l are distinct, as d does not divide j, so one sort
     # makes the pairs canonical
     pairs.sort(reverse=True)
-    return Partition._trusted(tuple(pairs), o.weight())
+    return Partition._trusted(tuple(pairs), o._weight)
 
 
 def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
@@ -138,10 +143,11 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     _check_modulus(d)
     if m < 1:
         raise DomainError(f"bound must be >= 1, got {m}")
+    md = m * d
     folded: dict[int, int] = {}
     for part, mult in delta.entries:
-        if part > m * d:
-            raise DomainError(f"part {part} exceeds {m * d}")
+        if part > md:
+            raise DomainError(f"part {part} exceeds {md}")
         if part <= m and mult >= d:
             raise DomainError(f"part {part} <= {m} occurs {mult} >= {d} times")
         j, scale, l = part, 1, 0
@@ -154,7 +160,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
         if part > m and l != bound_exponent(j, d, m):
             raise InternalError(f"part {part} not of the form j*d^L_j")
         folded[j] = folded.get(j, 0) + mult * scale
-    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)), delta.weight())
+    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)), delta._weight)
 
 
 def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
@@ -162,10 +168,17 @@ def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition
 
     Both are subsequences of lam's entries, so they stay canonical.
     """
-    div = tuple((p, c) for p, c in lam.entries if p % d == 0)
-    rest = tuple((p, c) for p, c in lam.entries if p % d != 0)
-    mu = Partition._trusted(div)
-    return mu, Partition._trusted(rest, lam.weight() - mu.weight())
+    div = []
+    rest = []
+    weight = 0
+    for entry in lam.entries:
+        part, mult = entry
+        if part % d:
+            rest.append(entry)
+        else:
+            div.append(entry)
+            weight += part * mult
+    return Partition._trusted(tuple(div), weight), Partition._trusted(tuple(rest), lam._weight - weight)
 
 
 def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
@@ -178,30 +191,40 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     mu, o = _split_by_divisibility(lam, d)
     mu_star = mu.conjugate()
 
-    # Conjugating a partition into multiples of d yields multiplicities
-    # that are multiples of d, with largest part = number of parts = k.
-    if any(mult % d != 0 for _, mult in mu_star.entries):
-        raise InternalError("conjugate of d-divisible subpartition has a multiplicity not divisible by d")
-
-    # Both splits walk mu_star's entries in descending order, and c // d
-    # >= 1 because d divides every multiplicity, so both stay canonical.
+    # One walk over mu_star checks and splits it. Conjugating a partition
+    # into multiples of d yields multiplicities that are multiples of d,
+    # with largest part = number of parts = k. Both pieces take mu_star's
+    # entries in descending order, and c // d >= 1 once d divides c, so
+    # both stay canonical.
     cut = min(m, k)
-    mu_star_0 = Partition._trusted(tuple((p, c) for p, c in mu_star.entries if p <= cut))
-    epsilon = Partition._trusted(tuple((d * p, c // d) for p, c in mu_star.entries if p > cut))
+    eps_pairs: list[tuple[int, int]] = []
+    mu0_pairs: list[tuple[int, int]] = []
+    eps_weight = mu0_weight = 0
+    for entry in mu_star.entries:
+        part, mult = entry
+        if mult % d:
+            raise InternalError("conjugate of d-divisible subpartition has a multiplicity not divisible by d")
+        if part > cut:
+            part *= d
+            mult //= d
+            eps_pairs.append((part, mult))
+            eps_weight += part * mult
+        else:
+            mu0_pairs.append(entry)
+            mu0_weight += part * mult
+    mu_star_0 = Partition._trusted(tuple(mu0_pairs), mu0_weight)
+    epsilon = Partition._trusted(tuple(eps_pairs), eps_weight)
 
     delta = finite_glaisher_forward(o, d, m)
     # every epsilon part d*p has p > cut >= every mu_star_0 part, so
     # epsilon's entries followed by mu_star_0's are canonical
-    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries, epsilon.weight() + mu_star_0.weight())
+    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries, eps_weight + mu0_weight)
     kappa += delta
 
-    if kappa.weight() != params.n or not is_in_B(kappa, params):
+    if kappa._weight != params.n or not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
 
-    trace = BijectionTrace(
-        lam=lam, mu=mu, o=o, mu_star=mu_star, mu_star_0=mu_star_0,
-        epsilon=epsilon, delta=delta, kappa=kappa, params=params, direction="forward",
-    )
+    trace = BijectionTrace(lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa, params, "forward")
     return kappa, trace
 
 
@@ -212,37 +235,46 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
         raise NotInClassB(f"{kappa.render()!r} is not in B{(params.n, params.k, params.d, params.m)}")
     d, k, m = params.d, params.k, params.m
     cut = min(m, k)
+    md = m * d
 
     mu0_pairs: list[tuple[int, int]] = []
     eps_pairs: list[tuple[int, int]] = []  # rescaled form, parts d*i
     delta_pairs: list[tuple[int, int]] = []
-    for part, mult in kappa.entries:
+    unscaled_pairs: list[tuple[int, int]] = []  # epsilon's entries in mu_star, parts i
+    mu0_weight = eps_weight = delta_weight = unscaled_weight = 0
+    for entry in kappa.entries:
+        part, mult = entry
         if part <= cut:
             r = mult % d
             if r:
                 delta_pairs.append((part, r))
+                delta_weight += part * r
             if mult - r:
                 mu0_pairs.append((part, mult - r))
-        elif part <= m * d:
+                mu0_weight += part * (mult - r)
+        elif part <= md:
             # covers both k < part <= m (multiplicity < d by membership)
             # and m < part <= m*d (overflow parts)
-            delta_pairs.append((part, mult))
+            delta_pairs.append(entry)
+            delta_weight += part * mult
         else:
             # only reachable for m < k; membership guarantees d | part
-            eps_pairs.append((part, mult))
+            eps_pairs.append(entry)
+            eps_weight += part * mult
+            part //= d
+            mult *= d
+            unscaled_pairs.append((part, mult))
+            unscaled_weight += part * mult
 
     # Each list took a subsequence of kappa's descending parts, with
     # multiplicities >= 1, so each is canonical as built.
-    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
-    epsilon = Partition._trusted(tuple(eps_pairs))
-    delta = Partition._trusted(tuple(delta_pairs))
+    mu_star_0 = Partition._trusted(tuple(mu0_pairs), mu0_weight)
+    epsilon = Partition._trusted(tuple(eps_pairs), eps_weight)
+    delta = Partition._trusted(tuple(delta_pairs), delta_weight)
 
     # epsilon's parts exceed m*d and d divides them (membership), so each
     # rescaled part p // d exceeds m >= cut >= every mu_star_0 part
-    mu_star = Partition._trusted(
-        tuple((p // d, c * d) for p, c in epsilon.entries) + mu_star_0.entries,
-        epsilon.weight() + mu_star_0.weight(),
-    )
+    mu_star = Partition._trusted(tuple(unscaled_pairs) + mu_star_0.entries, unscaled_weight + mu0_weight)
     if mu_star.multiplicity(k) < d:
         raise InternalError("reconstructed conjugate lacks d copies of the distinguished part")
 
@@ -250,11 +282,8 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     o = finite_glaisher_inverse(delta, d, m)
     lam = mu + o
 
-    if lam.weight() != params.n or not is_in_A(lam, params):
+    if lam._weight != params.n or not is_in_A(lam, params):
         raise InternalError(f"phi_inverse produced {lam.render()!r} outside A")
 
-    trace = BijectionTrace(
-        lam=lam, mu=mu, o=o, mu_star=mu_star, mu_star_0=mu_star_0,
-        epsilon=epsilon, delta=delta, kappa=kappa, params=params, direction="inverse",
-    )
+    trace = BijectionTrace(lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa, params, "inverse")
     return lam, trace

@@ -51,6 +51,11 @@ class ClassParams:
     m: int
 
     def __post_init__(self):
+        for name in ("n", "k", "d", "m"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True as a parameter is a mistake
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 0:
             raise DomainError(f"n must be >= 0, got {self.n}")
         if self.k < 1:
@@ -147,37 +152,51 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def is_in_A(p: Partition, params: ClassParams) -> bool:
     """Membership in A(n,k,d,m)."""
-    if p.weight() != params.n:
+    if p._weight != params.n:
         return False
+    d = params.d
+    md = params.m * d
     divisible = 0
     for part, mult in p.entries:
-        if part % params.d == 0:
+        if part % d == 0:
             divisible += mult
-        elif part >= params.m * params.d:
+        elif part >= md:
             return False
     return divisible == params.k
 
 
 def is_in_B(p: Partition, params: ClassParams) -> bool:
-    """Membership in B(n,k,d,m); branches on m < k vs m >= k."""
-    if p.weight() != params.n:
+    """Membership in B(n,k,d,m); branches on m < k vs m >= k.
+
+    One walk down the descending entries, which stops as soon as the
+    answer is known.
+    """
+    if p._weight != params.n:
         return False
     k, d, m = params.k, params.d, params.m
+    md = m * d
+    entries = p.entries
     if m < k:
-        if p.largest_part() != k * d:
+        if not entries or entries[0][0] != k * d:
             return False
-        for part, _ in p.entries:
-            if part > m * d and part % d != 0:
+        for part, _ in entries:
+            if part <= md:
+                return True
+            if part % d:
                 return False
         return True
-    if p.multiplicity(k) < d:
+    if entries and entries[0][0] > md:
         return False
-    if p.largest_part() > m * d:
-        return False
-    for part, mult in p.entries:
-        if k < part <= m and mult >= d:
-            return False
-    return True
+    for part, mult in entries:
+        if part > m:
+            continue
+        if part > k:
+            if mult >= d:
+                return False
+            continue
+        # the first part <= k decides: it must be k, occurring at least d times
+        return part == k and mult >= d
+    return False
 
 
 def enumerate_A(params: ClassParams) -> Iterator[Partition]:

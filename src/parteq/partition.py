@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import mul
 from typing import Iterable
 
 from .errors import ParseError
@@ -35,9 +33,19 @@ class Partition:
     _weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.entries) is not tuple:
+            kind = type(self.entries).__name__
+            raise ValueError(f"entries must be a tuple of (part, multiplicity) tuples, got a {kind}")
         prev = None
         weight = 0
-        for part, mult in self.entries:
+        for entry in self.entries:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise ValueError(f"invalid entry {entry!r}: expected a (part, multiplicity) tuple")
+            part, mult = entry
+            # exactly int: a bool or a float would pass the comparisons
+            # below and then render or hash as something else
+            if type(part) is not int or type(mult) is not int:
+                raise ValueError(f"invalid entry {entry!r}: parts and multiplicities must be ints")
             if part < 1 or mult < 1:
                 raise ValueError(f"invalid entry ({part}, {mult}): parts and multiplicities must be >= 1")
             if prev is not None and part >= prev:
@@ -47,16 +55,15 @@ class Partition:
         object.__setattr__(self, "_weight", weight)
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...], weight: int | None = None) -> "Partition":
+    def _trusted(cls, entries: tuple[tuple[int, int], ...], weight: int) -> "Partition":
         """Wrap entries that are canonical by construction, without validating.
 
         Only for callers whose entries are strictly descending with every
-        part and multiplicity >= 1 because of how they were built; weight,
-        when given, must be their weight. Any other input goes through
-        Partition(...) or from_pairs.
+        part and multiplicity >= 1 because of how they were built, and
+        whose weight the caller summed from those entries or derived from
+        the weights of the partitions they came from. Any other input goes
+        through Partition(...) or from_pairs.
         """
-        if weight is None:
-            weight = sum(starmap(mul, entries))
         p = object.__new__(cls)
         # the instance dict, written directly: the same fields __init__
         # sets, without the frozen __setattr__ guard

@@ -13,7 +13,7 @@ from parteq.bijection import (
     phi_inverse,
 )
 from parteq.classes import ClassParams, enumerate_A, enumerate_B, is_in_B
-from parteq.errors import DomainError, NotInClassA, NotInClassB, UnsupportedModulus
+from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
 from parteq.partition import EMPTY, Partition
 
 from conftest import random_d_free_partition
@@ -209,6 +209,51 @@ def test_phi_inverse_golden_examples():
 def test_phi_inverse_rejects_non_members():
     with pytest.raises(NotInClassB):
         phi_inverse(Partition.parse("1"), ClassParams(7, 2, 2, 4))
+
+
+# Each self-check of phi and phi_inverse, made to fail on its own by
+# patching one step; correct code never reaches these raises.
+
+
+def test_phi_self_check_mu_star_multiplicity(monkeypatch):
+    monkeypatch.setattr(Partition, "conjugate", lambda self: Partition.parse("3 2^3"))
+    with pytest.raises(InternalError, match="multiplicity not divisible"):
+        phi(LAMBDA_1, PARAMS_1)
+
+
+def test_phi_self_check_kappa_weight(monkeypatch):
+    # membership waved through, so only the explicit weight test can catch
+    # the missing Glaisher image
+    monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: True)
+    monkeypatch.setattr("parteq.bijection.finite_glaisher_forward", lambda o, d, m: EMPTY)
+    with pytest.raises(InternalError, match="outside B"):
+        phi(LAMBDA_1, PARAMS_1)
+
+
+def test_phi_self_check_kappa_membership(monkeypatch):
+    monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: False)
+    with pytest.raises(InternalError, match="outside B"):
+        phi(LAMBDA_1, PARAMS_1)
+
+
+def test_phi_inverse_self_check_copies_of_k(monkeypatch):
+    # "7" has no part 2, so mu_star gets no copies of k = 2
+    monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: True)
+    with pytest.raises(InternalError, match="lacks d copies"):
+        phi_inverse(Partition.parse("7"), ClassParams(7, 2, 2, 4))
+
+
+def test_phi_inverse_self_check_lambda_weight(monkeypatch):
+    monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: True)
+    monkeypatch.setattr("parteq.bijection.finite_glaisher_inverse", lambda delta, d, m: EMPTY)
+    with pytest.raises(InternalError, match="outside A"):
+        phi_inverse(KAPPA_1, PARAMS_1)
+
+
+def test_phi_inverse_self_check_lambda_membership(monkeypatch):
+    monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: False)
+    with pytest.raises(InternalError, match="outside A"):
+        phi_inverse(KAPPA_1, PARAMS_1)
 
 
 def test_trace_decomposition_invariants():

@@ -60,6 +60,12 @@ def test_params_validation():
     ClassParams(0, 1, 1, 1)  # n = 0 is legal, classes just come out empty
 
 
+@pytest.mark.parametrize("fields", [(3, 1.5, 2, 1), (True, 1, 1, 1), (3, 1, 2, True), ("3", 1, 2, 1), (3, 1, None, 1)])
+def test_params_reject_non_integers(fields):
+    with pytest.raises(DomainError):
+        ClassParams(*fields)
+
+
 def test_params_parse():
     assert ClassParams.parse("123,7,3,4") == ClassParams(123, 7, 3, 4)
     with pytest.raises(DomainError):
@@ -160,6 +166,55 @@ def test_is_in_B_m_ge_k_branch():
     assert not is_in_B(Partition.parse("3^3 2^3"), ClassParams(15, 2, 3, 3))  # part 3 in (k, m] occurs >= d
     assert not is_in_B(Partition.parse("2^2 1^7"), ClassParams(11, 2, 3, 3))  # part 2 occurs < 3 times
     assert not is_in_B(Partition.parse("11 1^2"), ClassParams(13, 1, 2, 5))   # part exceeds m*d
+
+
+def reference_is_in_A(p: Partition, params: ClassParams) -> bool:
+    """Membership in A(n,k,d,m), read off the definition through Partition's methods."""
+    if p.weight() != params.n:
+        return False
+    divisible = 0
+    for part, mult in p.entries:
+        if part % params.d == 0:
+            divisible += mult
+        elif part >= params.m * params.d:
+            return False
+    return divisible == params.k
+
+
+def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
+    """Membership in B(n,k,d,m), one condition of the definition at a time."""
+    if p.weight() != params.n:
+        return False
+    k, d, m = params.k, params.d, params.m
+    if m < k:
+        if p.largest_part() != k * d:
+            return False
+        for part, _ in p.entries:
+            if part > m * d and part % d != 0:
+                return False
+        return True
+    if p.multiplicity(k) < d:
+        return False
+    if p.largest_part() > m * d:
+        return False
+    for part, mult in p.entries:
+        if k < part <= m and mult >= d:
+            return False
+    return True
+
+
+def test_predicates_match_reference():
+    # the partitions of n + 1 exercise the weight test; d = 1, both B
+    # branches and m > n all lie in the range
+    for n in range(17):
+        candidates = list(enumerate_partitions(n)) + list(enumerate_partitions(n + 1))
+        for k in range(1, 8):
+            for d in range(1, 6):
+                for m in range(1, 10):
+                    params = ClassParams(n, k, d, m)
+                    for p in candidates:
+                        assert is_in_A(p, params) == reference_is_in_A(p, params), (p.render(), params)
+                        assert is_in_B(p, params) == reference_is_in_B(p, params), (p.render(), params)
 
 
 def test_monthly_lists():

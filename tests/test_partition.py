@@ -113,10 +113,19 @@ def test_invalid_construction():
         Partition.from_pairs([(5, -2), (5, 3), (1, 1)])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[(3, 1), (1, 2)], ((2.5, 1),), ((2, 1.0),), ((True, 1),), ([3, 1],), ((3,),), ((3, 1, 1),), "31"],
+)
+def test_constructor_rejects_entries_not_int_pair_tuples(entries):
+    with pytest.raises(ValueError):
+        Partition(entries)
+
+
 def test_weight_field_stays_out_of_repr_eq_and_hash():
     p = Partition(((2, 1),))
     assert repr(p) == "Partition(entries=((2, 1),))"
-    trusted = Partition._trusted(((2, 1),))
+    trusted = Partition._trusted(((2, 1),), 2)
     assert trusted == p
     assert hash(trusted) == hash(p)
     assert trusted.weight() == p.weight() == 2
