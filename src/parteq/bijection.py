@@ -85,8 +85,7 @@ def glaisher_inverse(delta: Partition, d: int) -> Partition:
 
 def bound_exponent(j: int, d: int, m: int) -> int:
     """The unique L >= 0 with m < j*d^L <= m*d, for d >= 2 and 1 <= j <= m*d."""
-    if d < 2:
-        raise UnsupportedModulus(f"modulus must be >= 2, got {d}")
+    _check_modulus(d)
     if not 1 <= j <= m * d:
         raise DomainError(f"part {j} outside (0, {m * d}]")
     L = 0

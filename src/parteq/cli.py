@@ -230,6 +230,8 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     N = args.N
     if args.eq1:
+        if args.d is not None or args.m is not None:
+            raise DomainError("--d and --m do not apply to --eq1")
         lhs, rhs = solutionI_sides(args.k, N)
         label = f"eq1 k={args.k} N={N}"
     else:

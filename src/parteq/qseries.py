@@ -11,8 +11,9 @@ product is ever needed.
 
 lhs_series / rhs_series build the two sides of the finite-bound identity;
 the coefficient of q^n on the left counts A(n,k,d,m) and on the right
-counts B(n,k,d,m). Each side applies the Pochhammer products exactly as
-the paper writes them. Numerator factors are never cancelled against
+counts B(n,k,d,m). Each side is one list of Pochhammer products, written
+in the paper's order and applied in that order by one loop, _side, one
+factor at a time. Numerator factors are never cancelled against
 denominator factors, and the two sides share no intermediate: after
 cancellation both sides reduce to the same multiset of exponents, so
 checking lhs == rhs would prove nothing. solutionI_check verifies the
@@ -36,6 +37,14 @@ class TruncatedSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        # exactly int and tuple, checked in O(1): a bool or float degree, or a
+        # list of coefficients, would build and then compare, hash or fail as
+        # something else
+        if type(self.truncation_degree) is not int:
+            kind = type(self.truncation_degree).__name__
+            raise ValueError(f"truncation degree must be an int, got a {kind}")
+        if type(self.coefficients) is not tuple:
+            raise ValueError(f"coefficients must be a tuple, got a {type(self.coefficients).__name__}")
         if self.truncation_degree < 0:
             raise DomainError(f"truncation degree must be >= 0, got {self.truncation_degree}")
         if len(self.coefficients) != self.truncation_degree + 1:
@@ -90,48 +99,26 @@ class TruncatedSeries:
         return TruncatedSeries(N, tuple(out))
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
-    """(q^offset; q^step)_length; length None means infinite."""
+def _side(N: int, shift: int, *products: tuple[int, int, int, int | None]) -> TruncatedSeries:
+    """q^shift times the given Pochhammer products, applied in order, truncated at N.
 
-    offset: int
-    step: int
-    length: int | None
-
-    def __post_init__(self):
-        if self.offset < 1 or self.step < 1:
-            raise ValueError("offset and step must be >= 1")
-        if self.length is not None and self.length < 0:
-            raise ValueError("length must be >= 0")
-
-    def exponents(self, N: int) -> range:
-        """Exponents offset + j*step of the factors, up to the truncation degree N."""
-        stop = N + 1 if self.length is None else min(N + 1, self.offset + self.length * self.step)
-        return range(self.offset, stop, self.step)
-
-
-def _divided_by_pochhammer(s: TruncatedSeries, spec: PochhammerSpec) -> TruncatedSeries:
-    """Multiply s by 1 / (q^offset; q^step)_length, one factor at a time."""
-    for e in spec.exponents(s.truncation_degree):
-        s = s.times_inverse_factor(e)
-    return s
-
-
-def _times_pochhammer(s: TruncatedSeries, spec: PochhammerSpec) -> TruncatedSeries:
-    """Multiply s by (q^offset; q^step)_length, one factor at a time."""
-    for e in spec.exponents(s.truncation_degree):
-        s = s.times_factor(e)
+    Each product is (power, offset, step, length): power +1 multiplies by the
+    factors (1 - q^e), power -1 divides by them, and length None is the
+    infinite product. Factors with e > N change nothing and are skipped.
+    """
+    s = TruncatedSeries.monomial(shift, N)
+    for power, offset, step, length in products:
+        apply = TruncatedSeries.times_factor if power == 1 else TruncatedSeries.times_inverse_factor
+        stop = N + 1 if length is None else min(N + 1, offset + length * step)
+        for e in range(offset, stop, step):
+            s = apply(s, e)
     return s
 
 
 def lhs_series(k: int, d: int, m: int, N: int) -> TruncatedSeries:
     """q^{dk} / (q^d;q^d)_k * (q^d;q^d)_m / (q;q)_{dm}; counts A(n,k,d,m) at q^n."""
     _require_positive(k=k, d=d, m=m)
-    s = TruncatedSeries.monomial(d * k, N)
-    s = _divided_by_pochhammer(s, PochhammerSpec(d, d, k))
-    s = _times_pochhammer(s, PochhammerSpec(d, d, m))
-    s = _divided_by_pochhammer(s, PochhammerSpec(1, 1, d * m))
-    return s
+    return _side(N, d * k, (-1, d, d, k), (1, d, d, m), (-1, 1, 1, d * m))
 
 
 def rhs_series(k: int, d: int, m: int, N: int) -> TruncatedSeries:
@@ -142,16 +129,15 @@ def rhs_series(k: int, d: int, m: int, N: int) -> TruncatedSeries:
                    / (q^{m+1};q)_{md-m}
     """
     _require_positive(k=k, d=d, m=m)
-    s = TruncatedSeries.monomial(k * d, N)
     if m < k:
-        s = _divided_by_pochhammer(s, PochhammerSpec(d * (m + 1), d, k - m))
-        s = _divided_by_pochhammer(s, PochhammerSpec(1, 1, m * d))
-    else:
-        s = _divided_by_pochhammer(s, PochhammerSpec(1, 1, k))
-        s = _times_pochhammer(s, PochhammerSpec(d * (k + 1), d, m - k))
-        s = _divided_by_pochhammer(s, PochhammerSpec(k + 1, 1, m - k))
-        s = _divided_by_pochhammer(s, PochhammerSpec(m + 1, 1, m * d - m))
-    return s
+        return _side(N, k * d, (-1, d * (m + 1), d, k - m), (-1, 1, 1, m * d))
+    return _side(
+        N, k * d,
+        (-1, 1, 1, k),
+        (1, d * (k + 1), d, m - k),
+        (-1, k + 1, 1, m - k),
+        (-1, m + 1, 1, m * d - m),
+    )
 
 
 def solutionI_sides(k: int, N: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -162,15 +148,8 @@ def solutionI_sides(k: int, N: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    lhs = TruncatedSeries.monomial(2 * k, N)
-    lhs = _divided_by_pochhammer(lhs, PochhammerSpec(2, 2, k))
-    lhs = _times_pochhammer(lhs, PochhammerSpec(2, 2, None))
-    lhs = _divided_by_pochhammer(lhs, PochhammerSpec(1, 1, None))
-
-    rhs = TruncatedSeries.monomial(2 * k, N)
-    rhs = _divided_by_pochhammer(rhs, PochhammerSpec(1, 1, k))
-    rhs = _times_pochhammer(rhs, PochhammerSpec(2 * (k + 1), 2, None))
-    rhs = _divided_by_pochhammer(rhs, PochhammerSpec(k + 1, 1, None))
+    lhs = _side(N, 2 * k, (-1, 2, 2, k), (1, 2, 2, None), (-1, 1, 1, None))
+    rhs = _side(N, 2 * k, (-1, 1, 1, k), (1, 2 * (k + 1), 2, None), (-1, k + 1, 1, None))
     return lhs, rhs
 
 

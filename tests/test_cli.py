@@ -255,6 +255,8 @@ def test_env_budget(monkeypatch, capsys):
         pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"],
                      id="verify-budget-x"),
         pytest.param(None, ["series", "--k", "x", "--d", "2", "--m", "2"], id="series-k-x"),
+        pytest.param(None, ["series", "--eq1", "--k", "3", "--d", "2", "--N", "10"], id="series-eq1-d"),
+        pytest.param(None, ["series", "--eq1", "--k", "3", "--m", "2", "--N", "10"], id="series-eq1-m"),
         pytest.param(None, ["verify", "--k", "1", "--d", "2", "--m", "2"], id="verify-missing-n"),
         pytest.param(None, ["verify", "--n", "-1..2", "--k", "1", "--d", "2", "--m", "2"],
                      id="verify-range-negative"),

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from parteq.classes import ClassParams, enumerate_A, enumerate_B
 from parteq.errors import DegreeMismatch, DomainError, OutOfRange
 from parteq.qseries import (
-    PochhammerSpec,
     TruncatedSeries,
-    _times_pochhammer,
+    _side,
     first_difference,
     lhs_series,
     rhs_series,
@@ -60,9 +59,9 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(N, tuple(inv))
 
 
-def pochhammer(spec: PochhammerSpec, N: int) -> TruncatedSeries:
-    """(q^offset; q^step)_length truncated at N, through the library's factor loop."""
-    return _times_pochhammer(one(N), spec)
+def pochhammer(offset: int, step: int, length: int | None, N: int) -> TruncatedSeries:
+    """(q^offset; q^step)_length truncated at N, through the library's product loop."""
+    return _side(N, 0, (1, offset, step, length))
 
 
 def brute_force_odd_partitions(n: int) -> int:
@@ -121,14 +120,79 @@ def test_inverse_involution():
 
 def test_inverse_of_single_factor_coefficient():
     # 1 / (1 - q): every coefficient is 1
-    s = inverse(pochhammer(PochhammerSpec(1, 1, 1), 10))
+    s = inverse(pochhammer(1, 1, 1, 10))
     assert s.coefficient(7) == 1
 
 
 def test_times_inverse_factor_matches_inverse():
     N = 20
     s = one(N).times_inverse_factor(3)
-    assert s == inverse(pochhammer(PochhammerSpec(3, 1, 1), N))
+    assert s == inverse(pochhammer(3, 1, 1, N))
+
+
+def record_factor_calls(monkeypatch) -> list[tuple[str, int]]:
+    """Wrap both factor kernels so that each call appends (kernel, e) to the returned list."""
+    calls = []
+    for name in ("times_factor", "times_inverse_factor"):
+        kernel = getattr(TruncatedSeries, name)
+
+        def recorded(s, e, name=name, kernel=kernel):
+            calls.append((name, e))
+            return kernel(s, e)
+
+        monkeypatch.setattr(TruncatedSeries, name, recorded)
+    return calls
+
+
+def factors(*products, N):
+    """The (kernel, e) calls of the products in order: power +1 multiplies, -1 divides; e capped at N."""
+    return [
+        ("times_factor" if power == 1 else "times_inverse_factor", e)
+        for power, exponents in products
+        for e in exponents
+        if e <= N
+    ]
+
+
+@pytest.mark.parametrize("N", [0, 14, 60])
+@pytest.mark.parametrize("k, d, m", [(3, 2, 4), (7, 3, 4), (4, 3, 7), (2, 2, 2)])
+def test_identity_sides_apply_docstring_factors_in_order(monkeypatch, k, d, m, N):
+    # Value tests cannot see a cancelled or reordered factor: after
+    # cancellation both sides reduce to the same exponents. So each side's
+    # (kernel, e) sequence is compared with its docstring formula, uncancelled.
+    calls = record_factor_calls(monkeypatch)
+    lhs_series(k, d, m, N)
+    # q^{dk} / (q^d;q^d)_k * (q^d;q^d)_m / (q;q)_{dm}
+    assert calls == factors(
+        (-1, range(d, d * k + 1, d)), (1, range(d, d * m + 1, d)), (-1, range(1, d * m + 1)), N=N
+    )
+    calls.clear()
+    rhs_series(k, d, m, N)
+    if m < k:
+        # q^{kd} / (q^{d(m+1)};q^d)_{k-m} / (q;q)_{md}
+        expected = factors((-1, range(d * (m + 1), d * k + 1, d)), (-1, range(1, m * d + 1)), N=N)
+    else:
+        # q^{kd} / (q;q)_k * (q^{d(k+1)};q^d)_{m-k} / (q^{k+1};q)_{m-k} / (q^{m+1};q)_{md-m}
+        expected = factors(
+            (-1, range(1, k + 1)),
+            (1, range(d * (k + 1), d * m + 1, d)),
+            (-1, range(k + 1, m + 1)),
+            (-1, range(m + 1, m * d + 1)),
+            N=N,
+        )
+    assert calls == expected
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_solutionI_sides_apply_docstring_factors_in_order(monkeypatch, k):
+    N = 30
+    calls = record_factor_calls(monkeypatch)
+    solutionI_sides(k, N)
+    # lhs = q^{2k} / (q^2;q^2)_k * (q^2;q^2)_inf / (q;q)_inf
+    lhs = factors((-1, range(2, 2 * k + 1, 2)), (1, range(2, N + 1, 2)), (-1, range(1, N + 1)), N=N)
+    # rhs = q^{2k} / (q;q)_k * (q^{2(k+1)};q^2)_inf / (q^{k+1};q)_inf
+    rhs = factors((-1, range(1, k + 1)), (1, range(2 * (k + 1), N + 1, 2)), (-1, range(k + 1, N + 1)), N=N)
+    assert calls == lhs + rhs
 
 
 @given(st.data())
@@ -172,6 +236,19 @@ def test_negative_degree_rejected():
         solutionI_sides(1, -3)
 
 
+@pytest.mark.parametrize(
+    "degree, coefficients",
+    [
+        pytest.param(2, [1, 0, 0], id="list-coefficients"),
+        pytest.param(2.0, (1, 0, 0), id="float-degree"),
+        pytest.param(True, (1, 0), id="bool-degree"),
+    ],
+)
+def test_series_rejects_non_int_degree_or_non_tuple_coefficients(degree, coefficients):
+    with pytest.raises(ValueError):
+        TruncatedSeries(degree, coefficients)
+
+
 def test_coefficient_out_of_range():
     with pytest.raises(OutOfRange):
         one(3).coefficient(4)
@@ -180,18 +257,18 @@ def test_coefficient_out_of_range():
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer(PochhammerSpec(1, 1, 0), 5) == one(5)
+    assert pochhammer(1, 1, 0, 5) == one(5)
 
 
 def test_pochhammer_two_factors():
-    s = pochhammer(PochhammerSpec(1, 1, 2), 3)
+    s = pochhammer(1, 1, 2, 3)
     assert s.coefficients == (1, -1, -1, 1)
 
 
 def test_pochhammer_odd_parts_quotient():
     # (q^2;q^2)_inf / (q;q)_inf counts partitions into odd parts
     N = 12
-    s = pochhammer(PochhammerSpec(2, 2, None), N)
+    s = pochhammer(2, 2, None, N)
     for e in range(1, N + 1):
         s = s.times_inverse_factor(e)
     for n in range(N + 1):
