@@ -23,6 +23,7 @@ from .errors import (
     NotInClassA,
     NotInClassB,
     UnsupportedModulus,
+    check_int,
 )
 from .partition import Partition
 
@@ -63,8 +64,9 @@ class BijectionTrace(NamedTuple):
 
 
 def _check_modulus(d: int) -> None:
-    if d < 2:
-        raise UnsupportedModulus(f"modulus must be >= 2, got {d}")
+    # inline rather than check_int: this runs several times per round trip
+    if type(d) is not int or d < 2:
+        raise UnsupportedModulus(f"modulus must be an integer >= 2, got {d!r}")
 
 
 def glaisher_forward(o: Partition, d: int) -> Partition:
@@ -86,6 +88,7 @@ def glaisher_inverse(delta: Partition, d: int) -> Partition:
 def bound_exponent(j: int, d: int, m: int) -> int:
     """The unique L >= 0 with m < j*d^L <= m*d, for d >= 2 and 1 <= j <= m*d."""
     _check_modulus(d)
+    check_int("m", m, 1)
     if not 1 <= j <= m * d:
         raise DomainError(f"part {j} outside (0, {m * d}]")
     L = 0
@@ -106,8 +109,7 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     the part j*d^L_j.
     """
     _check_modulus(d)
-    if m < 1:
-        raise DomainError(f"bound must be >= 1, got {m}")
+    check_int("m", m, 1)
     md = m * d
     pairs: list[tuple[int, int]] = []
     for part, mult in o.entries:
@@ -140,8 +142,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     times. Each part i = j*d^l (d not dividing j) folds back onto j.
     """
     _check_modulus(d)
-    if m < 1:
-        raise DomainError(f"bound must be >= 1, got {m}")
+    check_int("m", m, 1)
     md = m * d
     folded: dict[int, int] = {}
     for part, mult in delta.entries:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, check_int
 from .partition import Partition
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -51,19 +51,10 @@ class ClassParams:
     m: int
 
     def __post_init__(self):
-        for name in ("n", "k", "d", "m"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True as a parameter is a mistake
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.n < 0:
-            raise DomainError(f"n must be >= 0, got {self.n}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
+        check_int("n", self.n, 0)
+        check_int("k", self.k, 1)
+        check_int("d", self.d, 1)
+        check_int("m", self.m, 1)
 
     @classmethod
     def parse(cls, text: str) -> "ClassParams":

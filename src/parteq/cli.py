@@ -36,6 +36,7 @@ from .errors import (
     NotInClassB,
     ParseError,
     ParteqError,
+    check_int,
 )
 from .partition import Partition
 from .qseries import first_difference, lhs_series, rhs_series, solutionI_sides
@@ -56,8 +57,7 @@ def effective_budget(budget: int | None) -> int:
             budget = parse_int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise DomainError(f"budget must be >= 0, got {budget}")
+    check_int("budget", budget, 0)
     return budget
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parameter check."""
 
 
 class ParteqError(Exception):
@@ -15,6 +15,18 @@ class ParseError(ParteqError, ValueError):
 
 class DomainError(ParteqError, ValueError):
     """Argument outside the domain of a map (bad modulus, bad parts, ...)."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise DomainError unless value is exactly an int, not a bool, and >= low.
+
+    Exactly int: a bool, a float or an int subclass would pass the
+    comparison and then render, hash or index as something else.
+    """
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
 class UnsupportedModulus(DomainError):

@@ -94,10 +94,6 @@ class Partition:
         """Sum of all parts with multiplicity (the 'n' this partitions)."""
         return self._weight
 
-    def largest_part(self) -> int:
-        """Largest part, 0 for the empty partition."""
-        return self.entries[0][0] if self.entries else 0
-
     def multiplicity(self, part: int) -> int:
         for p, mult in self.entries:
             if p == part:

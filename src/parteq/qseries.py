@@ -26,37 +26,35 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import DegreeMismatch, DomainError, OutOfRange
+from .errors import DegreeMismatch, DomainError, OutOfRange, check_int
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal power series in q, kept exactly up to degree truncation_degree."""
+    """Formal power series in q, kept exactly up to degree len(coefficients) - 1."""
 
-    truncation_degree: int
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        # exactly int and tuple, checked in O(1): a bool or float degree, or a
-        # list of coefficients, would build and then compare, hash or fail as
-        # something else
-        if type(self.truncation_degree) is not int:
-            kind = type(self.truncation_degree).__name__
-            raise ValueError(f"truncation degree must be an int, got a {kind}")
-        if type(self.coefficients) is not tuple:
-            raise ValueError(f"coefficients must be a tuple, got a {type(self.coefficients).__name__}")
-        if self.truncation_degree < 0:
-            raise DomainError(f"truncation degree must be >= 0, got {self.truncation_degree}")
-        if len(self.coefficients) != self.truncation_degree + 1:
-            raise ValueError("coefficient list must have length N + 1")
+        # exactly a tuple, checked in O(1): a list would build and then
+        # fail to hash; an empty one would have no degree
+        c = self.coefficients
+        if type(c) is not tuple or not c:
+            got = "()" if c == () else f"a {type(c).__name__}"
+            raise ValueError(f"coefficients must be a non-empty tuple, got {got}")
+
+    @property
+    def truncation_degree(self) -> int:
+        return len(self.coefficients) - 1
 
     @classmethod
     def monomial(cls, e: int, N: int) -> "TruncatedSeries":
         """q^e truncated at N (the zero series when e > N)."""
+        check_int("N", N, 0)
         coeffs = [0] * (N + 1)
         if 0 <= e <= N:
             coeffs[e] = 1
-        return cls(N, tuple(coeffs))
+        return cls(tuple(coeffs))
 
     def coefficient(self, e: int) -> int:
         if not 0 <= e <= self.truncation_degree:
@@ -70,7 +68,7 @@ class TruncatedSeries:
         c = self.coefficients
         out = list(c[:e])
         out.extend(map(sub, c[e:], c))
-        return TruncatedSeries(self.truncation_degree, tuple(out))
+        return TruncatedSeries(tuple(out))
 
     def times_inverse_factor(self, e: int) -> "TruncatedSeries":
         """Multiply by 1/(1 - q^e) = 1 + q^e + q^2e + ...
@@ -82,10 +80,10 @@ class TruncatedSeries:
         """
         if e < 1:
             raise DomainError(f"factor exponent must be >= 1, got {e}")
-        N = self.truncation_degree
         c = self.coefficients
+        N = len(c) - 1
         if e == 1:
-            return TruncatedSeries(N, tuple(accumulate(c)))
+            return TruncatedSeries(tuple(accumulate(c)))
         if e * e <= N:
             out = list(c)
             for r in range(e):
@@ -96,7 +94,7 @@ class TruncatedSeries:
             for i in range(e, N + 1, e):
                 block = list(map(add, c[i:i + e], block))
                 out += block
-        return TruncatedSeries(N, tuple(out))
+        return TruncatedSeries(tuple(out))
 
 
 def _side(N: int, shift: int, *products: tuple[int, int, int, int | None]) -> TruncatedSeries:
@@ -117,7 +115,9 @@ def _side(N: int, shift: int, *products: tuple[int, int, int, int | None]) -> Tr
 
 def lhs_series(k: int, d: int, m: int, N: int) -> TruncatedSeries:
     """q^{dk} / (q^d;q^d)_k * (q^d;q^d)_m / (q;q)_{dm}; counts A(n,k,d,m) at q^n."""
-    _require_positive(k=k, d=d, m=m)
+    check_int("k", k, 1)
+    check_int("d", d, 1)
+    check_int("m", m, 1)
     return _side(N, d * k, (-1, d, d, k), (1, d, d, m), (-1, 1, 1, d * m))
 
 
@@ -128,7 +128,9 @@ def rhs_series(k: int, d: int, m: int, N: int) -> TruncatedSeries:
     m >= k: q^{kd} / (q;q)_k * (q^{d(k+1)};q^d)_{m-k} / (q^{k+1};q)_{m-k}
                    / (q^{m+1};q)_{md-m}
     """
-    _require_positive(k=k, d=d, m=m)
+    check_int("k", k, 1)
+    check_int("d", d, 1)
+    check_int("m", m, 1)
     if m < k:
         return _side(N, k * d, (-1, d * (m + 1), d, k - m), (-1, 1, 1, m * d))
     return _side(
@@ -146,8 +148,7 @@ def solutionI_sides(k: int, N: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     lhs = q^{2k} / (q^2;q^2)_k * (q^2;q^2)_inf / (q;q)_inf
     rhs = q^{2k} / (q;q)_k * (q^{2(k+1)};q^2)_inf / (q^{k+1};q)_inf
     """
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+    check_int("k", k, 0)
     lhs = _side(N, 2 * k, (-1, 2, 2, k), (1, 2, 2, None), (-1, 1, 1, None))
     rhs = _side(N, 2 * k, (-1, 1, 1, k), (1, 2 * (k + 1), 2, None), (-1, k + 1, 1, None))
     return lhs, rhs
@@ -170,8 +171,3 @@ def first_difference(s: TruncatedSeries, t: TruncatedSeries) -> tuple[int, int, 
             return e, a, b
     return None
 
-
-def _require_positive(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")

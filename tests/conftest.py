@@ -3,6 +3,11 @@ import random
 from parteq.partition import Partition
 
 
+def largest_part(p: Partition) -> int:
+    """Largest part of p, 0 for the empty partition."""
+    return p.entries[0][0] if p.entries else 0
+
+
 def random_partition(rng: random.Random, max_weight: int = 40, max_part: int = 15) -> Partition:
     """A partition drawn part-by-part; weight bounded but otherwise unstructured."""
     parts = []

@@ -1,5 +1,8 @@
+import enum
+
 import pytest
 
+from parteq.bijection import bound_exponent, finite_glaisher_forward, finite_glaisher_inverse
 from parteq.classes import (
     ClassParams,
     check_budget,
@@ -13,6 +16,9 @@ from parteq.classes import (
 from parteq.cli import DEFAULT_BUDGET, effective_budget
 from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import EMPTY, Partition
+from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
+
+from conftest import largest_part
 
 
 def partition_count_recurrence(n: int) -> int:
@@ -60,10 +66,55 @@ def test_params_validation():
     ClassParams(0, 1, 1, 1)  # n = 0 is legal, classes just come out empty
 
 
-@pytest.mark.parametrize("fields", [(3, 1.5, 2, 1), (True, 1, 1, 1), (3, 1, 2, True), ("3", 1, 2, 1), (3, 1, None, 1)])
+class Small(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(3, 1.5, 2, 1), (True, 1, 1, 1), (3, 1, 2, True), ("3", 1, 2, 1), (3, 1, None, 1), (3, Small.TWO, 2, 1)],
+)
 def test_params_reject_non_integers(fields):
     with pytest.raises(DomainError):
         ClassParams(*fields)
+
+
+# Every entry point that takes a parameter from a library caller, as a call
+# of the one parameter under test (all others valid) and that parameter's
+# lower bound.
+ENTRY_POINTS = {
+    "ClassParams.n": (lambda v: ClassParams(v, 1, 2, 1), 0),
+    "ClassParams.k": (lambda v: ClassParams(3, v, 2, 1), 1),
+    "ClassParams.d": (lambda v: ClassParams(3, 1, v, 1), 1),
+    "ClassParams.m": (lambda v: ClassParams(3, 1, 2, v), 1),
+    "lhs_series.k": (lambda v: lhs_series(v, 2, 2, 6), 1),
+    "lhs_series.d": (lambda v: lhs_series(2, v, 2, 6), 1),
+    "lhs_series.m": (lambda v: lhs_series(2, 2, v, 6), 1),
+    "lhs_series.N": (lambda v: lhs_series(1, 1, 1, v), 0),
+    "rhs_series.k": (lambda v: rhs_series(v, 2, 2, 6), 1),
+    "rhs_series.d": (lambda v: rhs_series(2, v, 2, 6), 1),
+    "rhs_series.m": (lambda v: rhs_series(2, 2, v, 6), 1),
+    "rhs_series.N": (lambda v: rhs_series(1, 1, 1, v), 0),
+    "solutionI_sides.k": (lambda v: solutionI_sides(v, 5), 0),
+    "solutionI_sides.N": (lambda v: solutionI_sides(1, v), 0),
+    "monomial.N": (lambda v: TruncatedSeries.monomial(1, v), 0),
+    "finite_glaisher_forward.d": (lambda v: finite_glaisher_forward(Partition.parse("3^5"), v, 8), 2),
+    "finite_glaisher_forward.m": (lambda v: finite_glaisher_forward(Partition.parse("1^3"), 2, v), 1),
+    "finite_glaisher_inverse.d": (lambda v: finite_glaisher_inverse(Partition.parse("4"), v, 4), 2),
+    "finite_glaisher_inverse.m": (lambda v: finite_glaisher_inverse(Partition.parse("2"), 2, v), 1),
+    "bound_exponent.d": (lambda v: bound_exponent(1, v, 2), 2),
+    "bound_exponent.m": (lambda v: bound_exponent(1, 2, v), 1),
+    "effective_budget": (effective_budget, 0),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below-bound"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_reject_non_int_or_below_bound(entry, kind):
+    call, low = ENTRY_POINTS[entry]
+    value = {"bool": True, "float": 2.0, "below-bound": low - 1}[kind]
+    with pytest.raises(DomainError):
+        call(value)
 
 
 def test_params_parse():
@@ -187,7 +238,7 @@ def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
         return False
     k, d, m = params.k, params.d, params.m
     if m < k:
-        if p.largest_part() != k * d:
+        if largest_part(p) != k * d:
             return False
         for part, _ in p.entries:
             if part > m * d and part % d != 0:
@@ -195,7 +246,7 @@ def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
         return True
     if p.multiplicity(k) < d:
         return False
-    if p.largest_part() > m * d:
+    if largest_part(p) > m * d:
         return False
     for part, mult in p.entries:
         if k < part <= m and mult >= d:

@@ -3,6 +3,8 @@ import pytest
 from parteq.errors import ParseError
 from parteq.partition import EMPTY, Partition
 
+from conftest import largest_part
+
 
 def test_weight_empty():
     assert EMPTY.weight() == 0
@@ -85,7 +87,7 @@ def test_render_round_trip():
 
 def test_largest_part_and_counts():
     p = Partition.parse("6 4^2 1")
-    assert p.largest_part() == 6
+    assert largest_part(p) == 6
     assert sum(mult for _, mult in p.entries) == 4
     assert tuple(part for part, mult in p.entries for _ in range(mult)) == (6, 4, 4, 1)
 

@@ -17,7 +17,7 @@ from parteq.qseries import (
 
 def one(N: int) -> TruncatedSeries:
     """The series 1 truncated at N."""
-    return TruncatedSeries(N, (1,) + (0,) * N)
+    return TruncatedSeries.monomial(0, N)
 
 
 def from_coefficients(coeffs, N: int | None = None) -> TruncatedSeries:
@@ -26,7 +26,7 @@ def from_coefficients(coeffs, N: int | None = None) -> TruncatedSeries:
     if N is None:
         N = len(coeffs) - 1
     coeffs = (coeffs + [0] * (N + 1))[: N + 1]
-    return TruncatedSeries(N, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def times_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -35,7 +35,7 @@ def times_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
     out = list(s.coefficients)
     for i in range(N, e - 1, -1):
         out[i] -= s.coefficients[i - e]
-    return TruncatedSeries(N, tuple(out))
+    return TruncatedSeries(tuple(out))
 
 
 def times_inverse_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -44,7 +44,7 @@ def times_inverse_factor_loop(s: TruncatedSeries, e: int) -> TruncatedSeries:
     out = list(s.coefficients)
     for i in range(e, N + 1):
         out[i] += out[i - e]
-    return TruncatedSeries(N, tuple(out))
+    return TruncatedSeries(tuple(out))
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -56,7 +56,7 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     inv[0] = c0
     for e in range(1, N + 1):
         inv[e] = -c0 * sum(s.coefficients[i] * inv[e - i] for i in range(1, e + 1))
-    return TruncatedSeries(N, tuple(inv))
+    return TruncatedSeries(tuple(inv))
 
 
 def pochhammer(offset: int, step: int, length: int | None, N: int) -> TruncatedSeries:
@@ -201,7 +201,7 @@ def test_factor_kernels_match_reference_loops(data):
     # every e from 1 to N + 2 covers e*e <= N, e*e > N, e = N and e > N
     N = data.draw(st.integers(min_value=0, max_value=80), label="N")
     coeff = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**80), max_value=2**80))
-    s = TruncatedSeries(N, tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1), label="c")))
+    s = TruncatedSeries(tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1), label="c")))
     for e in range(1, N + 3):
         assert s.times_factor(e) == times_factor_loop(s, e)
         assert s.times_inverse_factor(e) == times_inverse_factor_loop(s, e)
@@ -237,16 +237,16 @@ def test_negative_degree_rejected():
 
 
 @pytest.mark.parametrize(
-    "degree, coefficients",
+    "coefficients",
     [
-        pytest.param(2, [1, 0, 0], id="list-coefficients"),
-        pytest.param(2.0, (1, 0, 0), id="float-degree"),
-        pytest.param(True, (1, 0), id="bool-degree"),
+        pytest.param([1, 0, 0], id="list-coefficients"),
+        pytest.param((), id="empty-tuple"),
     ],
 )
-def test_series_rejects_non_int_degree_or_non_tuple_coefficients(degree, coefficients):
+def test_series_rejects_non_int_degree_or_non_tuple_coefficients(coefficients):
+    # the degree is len(coefficients) - 1, so only the coefficients are an input
     with pytest.raises(ValueError):
-        TruncatedSeries(degree, coefficients)
+        TruncatedSeries(coefficients)
 
 
 def test_coefficient_out_of_range():
