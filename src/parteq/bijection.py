@@ -87,6 +87,7 @@ def glaisher_inverse(delta: Partition, d: int) -> Partition:
 
 def bound_exponent(j: int, d: int, m: int) -> int:
     """The unique L >= 0 with m < j*d^L <= m*d, for d >= 2 and 1 <= j <= m*d."""
+    check_int("j", j)
     _check_modulus(d)
     check_int("m", m, 1)
     if not 1 <= j <= m * d:
@@ -132,7 +133,7 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     # the parts j*d^l are distinct, as d does not divide j, so one sort
     # makes the pairs canonical
     pairs.sort(reverse=True)
-    return Partition._trusted(tuple(pairs), o._weight)
+    return Partition._trusted(tuple(pairs))
 
 
 def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
@@ -160,7 +161,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
         if part > m and l != bound_exponent(j, d, m):
             raise InternalError(f"part {part} not of the form j*d^L_j")
         folded[j] = folded.get(j, 0) + mult * scale
-    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)), delta._weight)
+    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)))
 
 
 def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
@@ -170,15 +171,12 @@ def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition
     """
     div = []
     rest = []
-    weight = 0
     for entry in lam.entries:
-        part, mult = entry
-        if part % d:
+        if entry[0] % d:
             rest.append(entry)
         else:
             div.append(entry)
-            weight += part * mult
-    return Partition._trusted(tuple(div), weight), Partition._trusted(tuple(rest), lam._weight - weight)
+    return Partition._trusted(tuple(div)), Partition._trusted(tuple(rest))
 
 
 def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
@@ -199,28 +197,24 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     cut = min(m, k)
     eps_pairs: list[tuple[int, int]] = []
     mu0_pairs: list[tuple[int, int]] = []
-    eps_weight = mu0_weight = 0
     for entry in mu_star.entries:
         part, mult = entry
         if mult % d:
             raise InternalError("conjugate of d-divisible subpartition has a multiplicity not divisible by d")
         if part > cut:
-            part *= d
-            mult //= d
-            eps_pairs.append((part, mult))
-            eps_weight += part * mult
+            eps_pairs.append((part * d, mult // d))
         else:
             mu0_pairs.append(entry)
-            mu0_weight += part * mult
-    mu_star_0 = Partition._trusted(tuple(mu0_pairs), mu0_weight)
-    epsilon = Partition._trusted(tuple(eps_pairs), eps_weight)
+    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
+    epsilon = Partition._trusted(tuple(eps_pairs))
 
     delta = finite_glaisher_forward(o, d, m)
     # every epsilon part d*p has p > cut >= every mu_star_0 part, so
     # epsilon's entries followed by mu_star_0's are canonical
-    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries, eps_weight + mu0_weight)
+    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries)
     kappa += delta
 
+    # the first read of kappa's weight sums kappa's own entries
     if kappa._weight != params.n or not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
 
@@ -241,40 +235,32 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     eps_pairs: list[tuple[int, int]] = []  # rescaled form, parts d*i
     delta_pairs: list[tuple[int, int]] = []
     unscaled_pairs: list[tuple[int, int]] = []  # epsilon's entries in mu_star, parts i
-    mu0_weight = eps_weight = delta_weight = unscaled_weight = 0
     for entry in kappa.entries:
         part, mult = entry
         if part <= cut:
             r = mult % d
             if r:
                 delta_pairs.append((part, r))
-                delta_weight += part * r
             if mult - r:
                 mu0_pairs.append((part, mult - r))
-                mu0_weight += part * (mult - r)
         elif part <= md:
             # covers both k < part <= m (multiplicity < d by membership)
             # and m < part <= m*d (overflow parts)
             delta_pairs.append(entry)
-            delta_weight += part * mult
         else:
             # only reachable for m < k; membership guarantees d | part
             eps_pairs.append(entry)
-            eps_weight += part * mult
-            part //= d
-            mult *= d
-            unscaled_pairs.append((part, mult))
-            unscaled_weight += part * mult
+            unscaled_pairs.append((part // d, mult * d))
 
     # Each list took a subsequence of kappa's descending parts, with
     # multiplicities >= 1, so each is canonical as built.
-    mu_star_0 = Partition._trusted(tuple(mu0_pairs), mu0_weight)
-    epsilon = Partition._trusted(tuple(eps_pairs), eps_weight)
-    delta = Partition._trusted(tuple(delta_pairs), delta_weight)
+    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
+    epsilon = Partition._trusted(tuple(eps_pairs))
+    delta = Partition._trusted(tuple(delta_pairs))
 
     # epsilon's parts exceed m*d and d divides them (membership), so each
     # rescaled part p // d exceeds m >= cut >= every mu_star_0 part
-    mu_star = Partition._trusted(tuple(unscaled_pairs) + mu_star_0.entries, unscaled_weight + mu0_weight)
+    mu_star = Partition._trusted(tuple(unscaled_pairs) + mu_star_0.entries)
     if mu_star.multiplicity(k) < d:
         raise InternalError("reconstructed conjugate lacks d copies of the distinguished part")
 

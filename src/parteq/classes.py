@@ -114,7 +114,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n < 0:
         return
     if n == 0:
-        yield Partition._trusted((), 0)
+        yield Partition._trusted(())
         return
     # Descending lex order in multiplicity form (Knuth, TAOCP 4A
     # 7.2.1.4): the first partition is n itself. Each successor drops
@@ -123,7 +123,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     # Every entry list stays strictly descending with multiplicities >= 1.
     entries = [(n, 1)]
     while True:
-        yield Partition._trusted(tuple(entries), n)
+        yield Partition._trusted(tuple(entries))
         part, mult = entries.pop()
         freed = 0
         if part == 1:

@@ -17,15 +17,17 @@ class DomainError(ParteqError, ValueError):
     """Argument outside the domain of a map (bad modulus, bad parts, ...)."""
 
 
-def check_int(name: str, value, low: int) -> None:
+def check_int(name: str, value, low: int | None = None) -> None:
     """Raise DomainError unless value is exactly an int, not a bool, and >= low.
 
     Exactly int: a bool, a float or an int subclass would pass the
-    comparison and then render, hash or index as something else.
+    comparison and then render, hash or index as something else. Without
+    low, only the type is checked, for a caller whose range check raises
+    its own error.
     """
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
 
 

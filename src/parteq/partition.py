@@ -1,8 +1,9 @@
 """Canonical integer partition representation and structural operations.
 
-A partition is stored as a descending tuple of (part, multiplicity) pairs.
-Zero multiplicities are never stored, so equal partitions compare equal
-structurally and hash consistently. All operations are pure; instances are
+A partition is its descending tuple of (part, multiplicity) pairs and
+nothing else. Zero multiplicities are never stored, so equal partitions
+compare equal structurally and hash consistently. The weight is derived
+from the entries on first read. All operations are pure; instances are
 immutable and safe to share.
 
 Canonical text format: space-separated tokens ``part`` or ``part^mult``
@@ -12,8 +13,9 @@ and no leading zeros. The empty string denotes the empty partition.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
@@ -25,19 +27,18 @@ _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 class Partition:
     """A partition of a nonnegative integer, as (part, multiplicity) pairs.
 
-    The weight is computed once, at construction; it takes no part in
+    The entries are the only field. The weight is summed from them on
+    first read and cached in the instance dict; it takes no part in
     equality, hashing or repr.
     """
 
     entries: tuple[tuple[int, int], ...] = ()
-    _weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.entries) is not tuple:
             kind = type(self.entries).__name__
             raise ValueError(f"entries must be a tuple of (part, multiplicity) tuples, got a {kind}")
         prev = None
-        weight = 0
         for entry in self.entries:
             if type(entry) is not tuple or len(entry) != 2:
                 raise ValueError(f"invalid entry {entry!r}: expected a (part, multiplicity) tuple")
@@ -51,26 +52,29 @@ class Partition:
             if prev is not None and part >= prev:
                 raise ValueError("entries must be strictly descending by part")
             prev = part
-            weight += part * mult
-        object.__setattr__(self, "_weight", weight)
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...], weight: int) -> "Partition":
+    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Partition":
         """Wrap entries that are canonical by construction, without validating.
 
         Only for callers whose entries are strictly descending with every
-        part and multiplicity >= 1 because of how they were built, and
-        whose weight the caller summed from those entries or derived from
-        the weights of the partitions they came from. Any other input goes
-        through Partition(...) or from_pairs.
+        part and multiplicity >= 1 because of how they were built. Any
+        other input goes through Partition(...) or from_pairs.
         """
         p = object.__new__(cls)
-        # the instance dict, written directly: the same fields __init__
+        # the instance dict, written directly: the one field __init__
         # sets, without the frozen __setattr__ guard
-        attrs = p.__dict__
-        attrs["entries"] = entries
-        attrs["_weight"] = weight
+        p.__dict__["entries"] = entries
         return p
+
+    @functools.cached_property
+    def _weight(self) -> int:
+        # summed on first read, then an ordinary instance-dict attribute;
+        # cached_property writes the dict directly, past the frozen guard
+        weight = 0
+        for part, mult in self.entries:
+            weight += part * mult
+        return weight
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -121,7 +125,7 @@ class Partition:
             heights.append((total, part - lower))
         # heights is strictly ascending in height (descending part ⇒ growing
         # count) with every run >= 1, so reversed it is already canonical.
-        return Partition._trusted(tuple(reversed(heights)), self._weight)
+        return Partition._trusted(tuple(reversed(heights)))
 
     def add(self, other: "Partition") -> "Partition":
         """Multiset union: multiplicities add pointwise.
@@ -152,7 +156,7 @@ class Partition:
                 j += 1
         merged += a[i:]
         merged += b[j:]
-        return Partition._trusted(tuple(merged), self._weight + other._weight)
+        return Partition._trusted(tuple(merged))
 
     __add__ = add
 

@@ -50,13 +50,15 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, e: int, N: int) -> "TruncatedSeries":
         """q^e truncated at N (the zero series when e > N)."""
+        check_int("e", e, 0)
         check_int("N", N, 0)
         coeffs = [0] * (N + 1)
-        if 0 <= e <= N:
+        if e <= N:
             coeffs[e] = 1
         return cls(tuple(coeffs))
 
     def coefficient(self, e: int) -> int:
+        check_int("exponent", e)
         if not 0 <= e <= self.truncation_degree:
             raise OutOfRange(f"exponent {e} outside [0, {self.truncation_degree}]")
         return self.coefficients[e]

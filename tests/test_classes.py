@@ -79,9 +79,10 @@ def test_params_reject_non_integers(fields):
         ClassParams(*fields)
 
 
-# Every entry point that takes a parameter from a library caller, as a call
-# of the one parameter under test (all others valid) and that parameter's
-# lower bound.
+# Every entry point that takes an integer from a library caller, as a call
+# of the one integer under test (all others valid) and that integer's
+# lower bound, or None where an int out of range raises OutOfRange instead
+# (a coefficient index).
 ENTRY_POINTS = {
     "ClassParams.n": (lambda v: ClassParams(v, 1, 2, 1), 0),
     "ClassParams.k": (lambda v: ClassParams(3, v, 2, 1), 1),
@@ -98,21 +99,31 @@ ENTRY_POINTS = {
     "solutionI_sides.k": (lambda v: solutionI_sides(v, 5), 0),
     "solutionI_sides.N": (lambda v: solutionI_sides(1, v), 0),
     "monomial.N": (lambda v: TruncatedSeries.monomial(1, v), 0),
+    "monomial.e": (lambda v: TruncatedSeries.monomial(v, 4), 0),
+    "coefficient.e": (lambda v: lhs_series(2, 2, 4, 10).coefficient(v), None),
     "finite_glaisher_forward.d": (lambda v: finite_glaisher_forward(Partition.parse("3^5"), v, 8), 2),
     "finite_glaisher_forward.m": (lambda v: finite_glaisher_forward(Partition.parse("1^3"), 2, v), 1),
     "finite_glaisher_inverse.d": (lambda v: finite_glaisher_inverse(Partition.parse("4"), v, 4), 2),
     "finite_glaisher_inverse.m": (lambda v: finite_glaisher_inverse(Partition.parse("2"), 2, v), 1),
     "bound_exponent.d": (lambda v: bound_exponent(1, v, 2), 2),
     "bound_exponent.m": (lambda v: bound_exponent(1, 2, v), 1),
+    "bound_exponent.j": (lambda v: bound_exponent(v, 2, 2), 1),
     "effective_budget": (effective_budget, 0),
 }
 
 
-@pytest.mark.parametrize("kind", ["bool", "float", "below-bound"])
-@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    ("entry", "kind"),
+    [
+        (entry, kind)
+        for entry, (_, low) in ENTRY_POINTS.items()
+        for kind in ("below-bound", "bool", "float")
+        if low is not None or kind != "below-bound"
+    ],
+)
 def test_entry_points_reject_non_int_or_below_bound(entry, kind):
     call, low = ENTRY_POINTS[entry]
-    value = {"bool": True, "float": 2.0, "below-bound": low - 1}[kind]
+    value = low - 1 if kind == "below-bound" else {"bool": True, "float": 2.0}[kind]
     with pytest.raises(DomainError):
         call(value)
 

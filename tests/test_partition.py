@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from parteq.errors import ParseError
@@ -127,7 +130,19 @@ def test_constructor_rejects_entries_not_int_pair_tuples(entries):
 def test_weight_field_stays_out_of_repr_eq_and_hash():
     p = Partition(((2, 1),))
     assert repr(p) == "Partition(entries=((2, 1),))"
-    trusted = Partition._trusted(((2, 1),), 2)
+    trusted = Partition._trusted(((2, 1),))
     assert trusted == p
     assert hash(trusted) == hash(p)
     assert trusted.weight() == p.weight() == 2
+    # once read, the cached weight still stays out of repr, eq and hash,
+    # whether or not the other side has read its own
+    fresh = Partition(((2, 1),))
+    assert repr(trusted) == repr(p) == repr(fresh) == "Partition(entries=((2, 1),))"
+    assert trusted == fresh and p == fresh
+    assert hash(trusted) == hash(fresh)
+    # copies are equal and keep the weight, read or not
+    for original in (trusted, fresh, Partition._trusted(((3, 2), (1, 1)))):
+        for copied in (pickle.loads(pickle.dumps(original)), copy.copy(original)):
+            assert copied == original
+            assert hash(copied) == hash(original)
+            assert copied.weight() == original.weight()
