@@ -76,8 +76,7 @@ def count_partitions(n: int) -> int:
     Used both as the up-front budget estimate and as an independent oracle
     for the enumerator in tests.
     """
-    if n < 0:
-        return 0
+    check_int("n", n, 0)
     ways = [0] * (n + 1)
     ways[0] = 1
     for part in range(1, n + 1):
@@ -111,8 +110,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     There is no cap here: a caller that takes n from outside the program
     calls check_budget first.
     """
-    if n < 0:
-        return
+    check_int("n", n, 0)
     if n == 0:
         yield Partition._trusted(())
         return

@@ -134,8 +134,6 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         for rec in records:
             out.write(json.dumps(rec) + "\n")
         return
-    if not records:
-        return
     # A record has an error key only when it has an error, and elapsed is
     # in all records or none, so the longest has every column, in order
     keys = list(max(records, key=len))
@@ -267,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", required=True)
     p_verify.add_argument("--budget", type=parse_int, default=None)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
-    _add_format_flags(p_verify)
+    p_verify.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+    p_verify.add_argument("--csv", dest="format", action="store_const", const="csv")
     p_verify.set_defaults(func=cmd_verify)
 
     p_map = sub.add_parser("map", help="apply the bijection (or its inverse) to one partition")
@@ -293,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=cmd_series)
 
     return parser
-
-
-def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p.add_argument("--csv", dest="format", action="store_const", const="csv")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -127,7 +127,7 @@ class Partition:
         # count) with every run >= 1, so reversed it is already canonical.
         return Partition._trusted(tuple(reversed(heights)))
 
-    def add(self, other: "Partition") -> "Partition":
+    def __add__(self, other: "Partition") -> "Partition":
         """Multiset union: multiplicities add pointwise.
 
         One merge of the two descending entry lists; a part in both gets
@@ -158,17 +158,12 @@ class Partition:
         merged += b[j:]
         return Partition._trusted(tuple(merged))
 
-    __add__ = add
-
     def render(self) -> str:
         """Canonical text form, e.g. '7^4 6^2 5 1'. Empty partition -> ''."""
         tokens = []
         for part, mult in self.entries:
             tokens.append(f"{part}^{mult}" if mult >= 2 else str(part))
         return " ".join(tokens)
-
-    def __str__(self) -> str:
-        return self.render()
 
     @staticmethod
     def parse(text: str) -> "Partition":
@@ -185,6 +180,3 @@ class Partition:
             entries.append((part, int(match.group(2) or 1)))
             pos += len(token) + 1
         return Partition(tuple(entries))
-
-
-EMPTY = Partition()

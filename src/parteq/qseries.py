@@ -168,8 +168,8 @@ def first_difference(s: TruncatedSeries, t: TruncatedSeries) -> tuple[int, int, 
         raise DegreeMismatch("cannot compare series of different degrees")
     if s.coefficients == t.coefficients:
         return None
+    # unequal tuples of one length differ somewhere, so the loop returns
     for e, (a, b) in enumerate(zip(s.coefficients, t.coefficients)):
         if a != b:
             return e, a, b
-    return None
 

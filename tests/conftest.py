@@ -2,6 +2,8 @@ import random
 
 from parteq.partition import Partition
 
+EMPTY = Partition()
+
 
 def largest_part(p: Partition) -> int:
     """Largest part of p, 0 for the empty partition."""

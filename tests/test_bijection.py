@@ -14,9 +14,9 @@ from parteq.bijection import (
 )
 from parteq.classes import ClassParams, enumerate_A, enumerate_B, is_in_B
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
-from parteq.partition import EMPTY, Partition
+from parteq.partition import Partition
 
-from conftest import largest_part, random_d_free_partition
+from conftest import EMPTY, largest_part, random_d_free_partition
 
 LAMBDA_1 = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
 KAPPA_1 = Partition.parse("21 18 11 8 7^4 5 4^3 3^3 2^5 1")
@@ -254,6 +254,13 @@ def test_phi_inverse_self_check_lambda_membership(monkeypatch):
     monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: False)
     with pytest.raises(InternalError, match="outside A"):
         phi_inverse(KAPPA_1, PARAMS_1)
+
+
+def test_glaisher_inverse_self_check_exponent(monkeypatch):
+    # 8 = 1 * 2^3 sits at L_1 = 3 for m = 4; any other L_j must raise
+    monkeypatch.setattr("parteq.bijection.bound_exponent", lambda j, d, m: 99)
+    with pytest.raises(InternalError, match="not of the form"):
+        finite_glaisher_inverse(Partition.parse("8"), 2, 4)
 
 
 def test_trace_decomposition_invariants():

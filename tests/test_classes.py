@@ -15,10 +15,10 @@ from parteq.classes import (
 )
 from parteq.cli import DEFAULT_BUDGET, effective_budget
 from parteq.errors import BudgetExceeded, DomainError
-from parteq.partition import EMPTY, Partition
+from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
 
-from conftest import largest_part
+from conftest import EMPTY, largest_part
 
 
 def partition_count_recurrence(n: int) -> int:
@@ -109,6 +109,11 @@ ENTRY_POINTS = {
     "bound_exponent.m": (lambda v: bound_exponent(1, 2, v), 1),
     "bound_exponent.j": (lambda v: bound_exponent(v, 2, 2), 1),
     "effective_budget": (effective_budget, 0),
+    # the generator checks n on its first next
+    "enumerate_partitions.n": (lambda v: next(enumerate_partitions(v)), 0),
+    # 1 and 2 cached first: True and 2.0 compare equal to them, and the
+    # cache must not answer for them without the check
+    "count_partitions.n": (lambda v: count_partitions(1) + count_partitions(2) + count_partitions(v), 0),
 }
 
 

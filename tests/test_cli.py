@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from parteq.classes import count_partitions
+from parteq.bijection import phi
+from parteq.classes import ClassParams, count_partitions, enumerate_A
 from parteq.cli import main
-from parteq.partition import EMPTY
+from parteq.qseries import TruncatedSeries, lhs_series, rhs_series
+
+from conftest import EMPTY
 
 LAMBDA_1 = "15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"
 KAPPA_1 = "21 18 11 8 7^4 5 4^3 3^3 2^5 1"
@@ -178,6 +181,57 @@ def test_verify_bijection_error_is_per_point(monkeypatch, capsys):
     assert records[1]["count_A"] == records[1]["coeff_rhs"] == 1
 
 
+# n=6, k=1, d=2, m=2 has four A members and four B members
+BIJECTION_POINT = ["verify", "--n", "6", "--k", "1", "--d", "2", "--m", "2", "--json"]
+
+
+def verify_bijection_record(capsys):
+    code, out, _ = run(capsys, *BIJECTION_POINT)
+    [line] = out.splitlines()
+    return code, json.loads(line)
+
+
+def test_verify_bijection_false_when_round_trip_fails(monkeypatch, capsys):
+    fixed = next(enumerate_A(ClassParams(6, 1, 2, 2)))
+    monkeypatch.setattr("parteq.cli.phi_inverse", lambda kappa, params: (fixed, None))
+    code, rec = verify_bijection_record(capsys)
+    assert code == 1
+    assert rec["bijection"] is False and rec["pass"] is False and "error" not in rec
+    assert rec["count_A"] == rec["count_B"] == rec["coeff_lhs"] == rec["coeff_rhs"] == 4
+
+
+def test_verify_bijection_false_when_images_miss_b(monkeypatch, capsys):
+    # every round trip closes, but all members share the first one's
+    # image, so the image set is smaller than B
+    seen = []
+
+    def one_image(lam, params):
+        seen.append(lam)
+        return phi(seen[0], params)
+
+    monkeypatch.setattr("parteq.cli.phi", one_image)
+    monkeypatch.setattr("parteq.cli.phi_inverse", lambda kappa, params: (seen[-1], None))
+    code, rec = verify_bijection_record(capsys)
+    assert code == 1
+    assert len(seen) == 4
+    assert rec["bijection"] is False and rec["pass"] is False and "error" not in rec
+    assert rec["count_A"] == rec["count_B"] == rec["coeff_lhs"] == rec["coeff_rhs"] == 4
+
+
+def test_series_reports_first_difference(monkeypatch, capsys):
+    def off_at_5(k, d, m, N):
+        coeffs = list(rhs_series(k, d, m, N).coefficients)
+        coeffs[5] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr("parteq.cli.rhs_series", off_at_5)
+    a = lhs_series(2, 2, 2, 10).coefficient(5)
+    code, out, err = run(capsys, "series", "--k", "2", "--d", "2", "--m", "2", "--N", "10")
+    assert code == 1
+    assert err == ""
+    assert out == f"eq2 k=2 d=2 m=2 N=10: differ at q^5: lhs={a} rhs={a + 1}\n"
+
+
 def test_verify_csv_keeps_every_error(monkeypatch, capsys):
     monkeypatch.setattr("parteq.cli.phi", lambda lam, params: (EMPTY, None))
     argv = ["verify", "--n", "3..4", "--k", "1", "--d", "1..2", "--m", "2"]
@@ -255,6 +309,7 @@ def test_env_budget(monkeypatch, capsys):
         pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"],
                      id="verify-budget-x"),
         pytest.param(None, ["series", "--k", "x", "--d", "2", "--m", "2"], id="series-k-x"),
+        pytest.param(None, ["series", "--k", "2"], id="series-missing-d-m"),
         pytest.param(None, ["series", "--eq1", "--k", "3", "--d", "2", "--N", "10"], id="series-eq1-d"),
         pytest.param(None, ["series", "--eq1", "--k", "3", "--m", "2", "--N", "10"], id="series-eq1-m"),
         pytest.param(None, ["verify", "--k", "1", "--d", "2", "--m", "2"], id="verify-missing-n"),

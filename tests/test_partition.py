@@ -4,9 +4,9 @@ import pickle
 import pytest
 
 from parteq.errors import ParseError
-from parteq.partition import EMPTY, Partition
+from parteq.partition import Partition
 
-from conftest import largest_part
+from conftest import EMPTY, largest_part
 
 
 def test_weight_empty():
