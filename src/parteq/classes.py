@@ -30,7 +30,7 @@ from .partition import Partition
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
-def parse_int(text: str) -> int:
+def integer(text: str) -> int:
     """The integer written as ASCII digits with an optional leading minus.
 
     int() alone also reads any Unicode digit, underscores and surrounding
@@ -63,7 +63,7 @@ class ClassParams:
         if len(fields) != 4:
             raise DomainError(f"expected 'n,k,d,m', got {text!r}")
         try:
-            n, k, d, m = (parse_int(f) for f in fields)
+            n, k, d, m = (integer(f) for f in fields)
         except ValueError as exc:
             raise DomainError(f"non-integer in params {text!r}") from exc
         return cls(n, k, d, m)

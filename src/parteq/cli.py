@@ -3,7 +3,8 @@
 Output is deterministic: records are ordered by parameter tuple and carry
 no timestamps; timing is only included when --timing is passed. Exit
 statuses: 0 all checks passed, 1 a checked claim failed, 2 usage or parse
-error, 3 enumeration budget exceeded.
+error, 3 enumeration budget exceeded; an error's status is declared on its
+type in errors.py.
 """
 
 from __future__ import annotations
@@ -26,25 +27,14 @@ from .classes import (
     enumerate_partitions,
     is_in_A,
     is_in_B,
-    parse_int,
+    integer,
 )
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    InternalError,
-    NotInClassA,
-    NotInClassB,
-    ParseError,
-    ParteqError,
-    check_int,
-)
+from .errors import BudgetExceeded, DomainError, ParteqError, check_int
 from .partition import Partition
 from .qseries import first_difference, lhs_series, rhs_series, solutionI_sides
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -54,7 +44,7 @@ def effective_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get("PARTEQ_BUDGET")
         try:
-            budget = parse_int(env) if env else DEFAULT_BUDGET
+            budget = integer(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
     check_int("budget", budget, 0)
@@ -152,7 +142,7 @@ def _parse_range(text: str) -> range:
     """The inclusive range written as 'lo..hi' or as a single value."""
     lo, sep, hi = text.partition("..")
     try:
-        lo, hi = parse_int(lo), parse_int(hi if sep else lo)
+        lo, hi = integer(lo), integer(hi if sep else lo)
     except ValueError:
         raise DomainError(f"expected an integer or a range lo..hi, got {text!r}") from None
     if hi < lo:
@@ -193,7 +183,7 @@ def cmd_verify(args) -> int:
     if any_fail:
         return EXIT_FAIL
     if over:
-        return EXIT_BUDGET
+        return BudgetExceeded.exit_code
     return EXIT_PASS
 
 
@@ -263,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True)
     p_verify.add_argument("--d", required=True)
     p_verify.add_argument("--m", required=True)
-    p_verify.add_argument("--budget", type=parse_int, default=None)
+    p_verify.add_argument("--budget", type=integer, default=None)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p_verify.add_argument("--csv", dest="format", action="store_const", const="csv")
@@ -280,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--params", required=True, help="n,k,d,m")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--method", choices=["enumerate", "series"], default="enumerate")
-    p_count.add_argument("--budget", type=parse_int, default=None)
+    p_count.add_argument("--budget", type=integer, default=None)
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="compare both sides of an identity coefficientwise")
-    p_series.add_argument("--k", type=parse_int, required=True)
-    p_series.add_argument("--d", type=parse_int, default=None)
-    p_series.add_argument("--m", type=parse_int, default=None)
-    p_series.add_argument("--N", type=parse_int, default=60)
+    p_series.add_argument("--k", type=integer, required=True)
+    p_series.add_argument("--d", type=integer, default=None)
+    p_series.add_argument("--m", type=integer, default=None)
+    p_series.add_argument("--N", type=integer, default=60)
     p_series.add_argument("--eq1", action="store_true", help="check the classical identity instead")
     p_series.set_defaults(func=cmd_series)
 
@@ -298,22 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        _error("ParseError", exc)
-        return EXIT_USAGE
-    except (NotInClassA, NotInClassB, InternalError) as exc:
-        _error(type(exc).__name__, exc)
-        return EXIT_FAIL
-    except BudgetExceeded as exc:
-        _error("BudgetExceeded", exc)
-        return EXIT_BUDGET
-    except DomainError as exc:
-        _error("DomainError", exc)
-        return EXIT_USAGE
-
-
-def _error(name: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+    except ParteqError as exc:
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

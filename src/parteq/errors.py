@@ -1,8 +1,16 @@
-"""Exception types shared across the package, and the one parameter check."""
+"""Exception types shared across the package, and the one parameter check.
+
+Each type carries the exit status the `parteq` command returns for it:
+2 (usage) unless a type says otherwise, 1 where a checked claim failed,
+3 where the enumeration budget was exceeded. A subclass inherits its
+parent's status.
+"""
 
 
 class ParteqError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ParseError(ParteqError, ValueError):
@@ -38,17 +46,25 @@ class UnsupportedModulus(DomainError):
 class NotInClassA(ParteqError, ValueError):
     """Input partition is not a member of the A-class for the given params."""
 
+    exit_code = 1
+
 
 class NotInClassB(ParteqError, ValueError):
     """Input partition is not a member of the B-class for the given params."""
+
+    exit_code = 1
 
 
 class InternalError(ParteqError, RuntimeError):
     """A self-check inside the bijection failed; indicates a bug, not bad input."""
 
+    exit_code = 1
+
 
 class BudgetExceeded(ParteqError, RuntimeError):
     """An enumeration would produce more partitions than the configured cap."""
+
+    exit_code = 3
 
 
 class DegreeMismatch(ParteqError, ValueError):

@@ -134,10 +134,6 @@ class Partition:
         the sum of its multiplicities, so the result is canonical as built.
         """
         a, b = self.entries, other.entries
-        if not b:
-            return self
-        if not a:
-            return other
         merged = []
         len_a, len_b = len(a), len(b)
         i = j = 0

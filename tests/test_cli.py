@@ -11,6 +11,7 @@ import pytest
 from parteq.bijection import phi
 from parteq.classes import ClassParams, count_partitions, enumerate_A
 from parteq.cli import main
+from parteq.errors import ParteqError
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series
 
 from conftest import EMPTY
@@ -334,6 +335,59 @@ def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "DomainError"
+
+
+def _error_types(cls=ParteqError):
+    """ParteqError and every subclass defined in parteq.errors, recursively."""
+    if cls.__module__ == "parteq.errors":
+        yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+ERROR_TYPES = sorted(set(_error_types()), key=lambda cls: cls.__name__)
+# the status of each type that does not exit 2
+EXIT_CODES = {"NotInClassA": 1, "NotInClassB": 1, "InternalError": 1, "BudgetExceeded": 3}
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_type_exits_with_its_status(monkeypatch, capsys, cls):
+    def raise_it(args):
+        raise cls("boom")
+
+    monkeypatch.setattr("parteq.cli.cmd_series", raise_it)
+    code, out, err = run(capsys, "series", "--k", "1", "--d", "1", "--m", "1")
+    assert code == EXIT_CODES.get(cls.__name__, 2)
+    assert out == ""
+    assert err == json.dumps({"error": cls.__name__, "message": "boom"}) + "\n"
+
+
+def test_map_modulus_1_names_unsupported_modulus(capsys):
+    code, out, err = run(capsys, "map", "2 1", "--params", "3,2,1,4")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "UnsupportedModulus"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"], "--budget",
+                     id="verify-budget"),
+        pytest.param(["count", "--params", "7,2,2,4", "--class", "A", "--budget", "x"], "--budget", id="count-budget"),
+        pytest.param(["series", "--k", "x", "--d", "2", "--m", "2"], "--k", id="series-k"),
+        pytest.param(["series", "--k", "2", "--d", "x", "--m", "2"], "--d", id="series-d"),
+        pytest.param(["series", "--k", "2", "--d", "2", "--m", "x"], "--m", id="series-m"),
+        pytest.param(["series", "--k", "2", "--d", "2", "--m", "2", "--N", "x"], "--N", id="series-N"),
+    ],
+)
+def test_integer_flag_message_says_integer(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    message = f"argument {flag}: invalid integer value: 'x'"
+    assert err == json.dumps({"error": "DomainError", "message": message}) + "\n"
 
 
 # n = 11 and n = 12 have more partitions than this budget allows
