@@ -45,8 +45,8 @@ class BijectionTrace(NamedTuple):
     params: ClassParams
     direction: str  # "forward" | "inverse"
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self, indent: int | None = None) -> str:
+        return json.dumps({
             "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},
             "direction": self.direction,
             "lambda": self.lam.render(),
@@ -57,10 +57,7 @@ class BijectionTrace(NamedTuple):
             "epsilon": self.epsilon.render(),
             "delta": self.delta.render(),
             "kappa": self.kappa.render(),
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        }, indent=indent)
 
 
 def _check_modulus(d: int) -> None:

@@ -91,8 +91,10 @@ def check_budget(n: int, cap: int) -> None:
     A partition of t < n plus n - t parts 1 is one of n, so t's count is
     at most n's. The counts of t = 64, 128, ... below n are taken first,
     and the first past the cap settles it: an n far over the cap costs
-    time bounded by the cap, not by n.
+    time bounded by the cap, not by n. A cap that is not an int >= 0
+    raises DomainError.
     """
+    check_int("budget", cap, 0)
     t = 64
     while t < n:
         total = count_partitions(t)

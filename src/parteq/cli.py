@@ -13,7 +13,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -37,18 +36,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def effective_budget(budget: int | None) -> int:
-    """Resolve the enumeration cap: explicit arg, else PARTEQ_BUDGET, else default."""
-    if budget is None:
-        env = os.environ.get("PARTEQ_BUDGET")
-        try:
-            budget = integer(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            raise DomainError(f"PARTEQ_BUDGET must be an integer, got {env!r}") from None
-    check_int("budget", budget, 0)
-    return budget
 
 
 @dataclass
@@ -151,19 +138,19 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args) -> int:
-    cap = effective_budget(args.budget)
     ns = _parse_range(args.n)
     kdms = list(itertools.product(_parse_range(args.k), _parse_range(args.d), _parse_range(args.m)))
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
     # every lower bound, so a bad one fails before any series is built
     ClassParams(ns[0], *kdms[0])
     # the error of each n over the budget; the series stop at the last n
-    # within it
+    # within it. check_budget rejects a bad cap as DomainError, which
+    # is not caught, so that too fails before any series is built
     over = {}
     top = 0
     for n in ns:
         try:
-            check_budget(n, cap)
+            check_budget(n, args.budget)
         except BudgetExceeded as exc:
             over[n] = f"BudgetExceeded: {exc}"
         else:
@@ -203,9 +190,11 @@ def cmd_map(args) -> int:
 
 def cmd_count(args) -> int:
     params = ClassParams.parse(args.params)
-    cap = effective_budget(args.budget)
+    # --method series never reaches check_budget, and a bad budget is
+    # still bad input there
+    check_int("budget", args.budget, 0)
     if args.method == "enumerate":
-        check_budget(params.n, cap)
+        check_budget(params.n, args.budget)
         members = enumerate_A if args.cls == "A" else enumerate_B
         value = sum(1 for _ in members(params))
     else:
@@ -253,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True)
     p_verify.add_argument("--d", required=True)
     p_verify.add_argument("--m", required=True)
-    p_verify.add_argument("--budget", type=integer, default=None)
+    p_verify.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p_verify.add_argument("--csv", dest="format", action="store_const", const="csv")
@@ -270,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--params", required=True, help="n,k,d,m")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--method", choices=["enumerate", "series"], default="enumerate")
-    p_count.add_argument("--budget", type=integer, default=None)
+    p_count.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="compare both sides of an identity coefficientwise")

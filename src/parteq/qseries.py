@@ -52,7 +52,12 @@ class TruncatedSeries:
         """q^e truncated at N (the zero series when e > N)."""
         check_int("e", e, 0)
         check_int("N", N, 0)
-        coeffs = [0] * (N + 1)
+        try:
+            coeffs = [0] * (N + 1)
+        except (OverflowError, MemoryError):
+            # raised before anything is allocated: N + 1 is past what a
+            # list can index, or what the allocator will grant
+            raise DomainError(f"series degree N = {N} is too large to allocate") from None
         if e <= N:
             coeffs[e] = 1
         return cls(tuple(coeffs))

@@ -13,7 +13,6 @@ from parteq.classes import (
     is_in_A,
     is_in_B,
 )
-from parteq.cli import DEFAULT_BUDGET, effective_budget
 from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
@@ -108,7 +107,7 @@ ENTRY_POINTS = {
     "bound_exponent.d": (lambda v: bound_exponent(1, v, 2), 2),
     "bound_exponent.m": (lambda v: bound_exponent(1, 2, v), 1),
     "bound_exponent.j": (lambda v: bound_exponent(v, 2, 2), 1),
-    "effective_budget": (effective_budget, 0),
+    "check_budget.cap": (lambda v: check_budget(10, v), 0),
     # the generator checks n on its first next
     "enumerate_partitions.n": (lambda v: next(enumerate_partitions(v)), 0),
     # 1 and 2 cached first: True and 2.0 compare equal to them, and the
@@ -180,13 +179,6 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded, match="^partitions of 65 exceed budget 1741629: 64 alone has 1741630$"):
         check_budget(65, 1741629)
 
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.delenv("PARTEQ_BUDGET", raising=False)
-    assert effective_budget(None) == DEFAULT_BUDGET
-    monkeypatch.setenv("PARTEQ_BUDGET", "5")
-    assert effective_budget(None) == 5
-    assert effective_budget(1000) == 1000
 
 
 def test_is_in_A_worked_example():

@@ -164,7 +164,7 @@ def test_verify_rejects_huge_n_quickly():
     proc = subprocess.run(
         [sys.executable, "-m", "parteq.cli", "verify", "--n", "100000", "--k", "1", "--d", "2", "--m", "1", "--json"],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": SRC, "PARTEQ_BUDGET": ""},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 3
     [line] = proc.stdout.splitlines()
@@ -287,49 +287,65 @@ def test_internal_error_exits_1(monkeypatch, capsys):
     assert json.loads(err)["error"] == "InternalError"
 
 
-def test_env_budget(monkeypatch, capsys):
-    monkeypatch.setenv("PARTEQ_BUDGET", "10")
-    code, _, err = run(capsys, "count", "--params", "30,1,2,4", "--class", "A")
+def test_default_budget_is_ten_million(capsys):
+    code, out, err = run(capsys, "count", "--params", "100,1,2,4", "--class", "A")
     assert code == 3
+    assert out == ""
+    assert err == json.dumps({"error": "BudgetExceeded",
+                              "message": "190569292 partitions of 100 exceeds budget 10000000"}) + "\n"
 
 
 @pytest.mark.parametrize(
-    "env, argv",
+    "N, argv",
     [
-        pytest.param(None, ["verify", "--n", "x", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-x"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "1..", "--d", "2", "--m", "2"], id="verify-range-open"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "-1"], id="verify-N"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "-1"],
-                     id="verify-budget"),
-        pytest.param("abc", ["count", "--params", "7,2,2,4", "--class", "A"], id="count-env-budget"),
-        pytest.param(None, ["count", "--params", "7,2,2,4", "--class", "A", "--method", "series", "--N", "-1"],
-                     id="count-N"),
-        pytest.param(None, ["series", "--k", "2", "--d", "2", "--m", "2", "--N", "-1"], id="series-N"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "abc"],
-                     id="verify-N-x"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"],
-                     id="verify-budget-x"),
-        pytest.param(None, ["series", "--k", "x", "--d", "2", "--m", "2"], id="series-k-x"),
-        pytest.param(None, ["series", "--k", "2"], id="series-missing-d-m"),
-        pytest.param(None, ["series", "--eq1", "--k", "3", "--d", "2", "--N", "10"], id="series-eq1-d"),
-        pytest.param(None, ["series", "--eq1", "--k", "3", "--m", "2", "--N", "10"], id="series-eq1-m"),
-        pytest.param(None, ["verify", "--k", "1", "--d", "2", "--m", "2"], id="verify-missing-n"),
-        pytest.param(None, ["verify", "--n", "-1..2", "--k", "1", "--d", "2", "--m", "2"],
-                     id="verify-range-negative"),
-        pytest.param(None, ["verify", "--n", "5..3", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-reversed"),
-        pytest.param(None, ["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
-        pytest.param(None, ["verify", "--n", "1_0", "--k", "1", "--d", "2", "--m", "2"], id="verify-n-underscore"),
-        pytest.param(None, ["map", "3", "--params", "\u0663,1,2,2"], id="params-arabic-digit"),
-        pytest.param(None, ["series", "--k", "\u0663", "--d", "2", "--m", "2"], id="series-k-arabic-digit"),
-        pytest.param("\uff11\uff10\uff10\uff10", ["count", "--params", "7,2,2,4", "--class", "A"],
-                     id="env-budget-fullwidth"),
+        pytest.param(2**64, ["series", "--k", "3", "--d", "2", "--m", "2", "--N", str(2**64)], id="series-N-2pow64"),
+        pytest.param(10**18, ["series", "--k", "3", "--d", "2", "--m", "2", "--N", str(10**18)], id="series-N-1e18"),
+        pytest.param(2**64, ["count", "--params", f"{2**64},1,2,1", "--class", "A", "--method", "series"],
+                     id="count-series-n-2pow64"),
     ],
 )
-def test_malformed_input_exits_2(monkeypatch, capsys, env, argv):
-    if env is None:
-        monkeypatch.delenv("PARTEQ_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("PARTEQ_BUDGET", env)
+def test_series_degree_too_large_to_allocate_exits_2(capsys, N, argv):
+    # [0] * (N + 1) raises OverflowError (2**64) or MemoryError (10**18)
+    # before it allocates anything
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == json.dumps({"error": "DomainError",
+                              "message": f"series degree N = {N} is too large to allocate"}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--n", "x", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-x"),
+        pytest.param(["verify", "--n", "3", "--k", "1..", "--d", "2", "--m", "2"], id="verify-range-open"),
+        pytest.param(["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "-1"], id="verify-N"),
+        pytest.param(["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "-1"],
+                     id="verify-budget"),
+        pytest.param(["count", "--params", "7,2,2,4", "--class", "A", "--method", "series", "--N", "-1"],
+                     id="count-N"),
+        pytest.param(["count", "--params", "7,2,2,4", "--class", "A", "--method", "series", "--budget", "-1"],
+                     id="count-series-budget"),
+        pytest.param(["series", "--k", "2", "--d", "2", "--m", "2", "--N", "-1"], id="series-N"),
+        pytest.param(["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--N", "abc"],
+                     id="verify-N-x"),
+        pytest.param(["verify", "--n", "3", "--k", "1", "--d", "2", "--m", "2", "--budget", "x"],
+                     id="verify-budget-x"),
+        pytest.param(["series", "--k", "x", "--d", "2", "--m", "2"], id="series-k-x"),
+        pytest.param(["series", "--k", "2"], id="series-missing-d-m"),
+        pytest.param(["series", "--eq1", "--k", "3", "--d", "2", "--N", "10"], id="series-eq1-d"),
+        pytest.param(["series", "--eq1", "--k", "3", "--m", "2", "--N", "10"], id="series-eq1-m"),
+        pytest.param(["verify", "--k", "1", "--d", "2", "--m", "2"], id="verify-missing-n"),
+        pytest.param(["verify", "--n", "-1..2", "--k", "1", "--d", "2", "--m", "2"],
+                     id="verify-range-negative"),
+        pytest.param(["verify", "--n", "5..3", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-reversed"),
+        pytest.param(["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
+        pytest.param(["verify", "--n", "1_0", "--k", "1", "--d", "2", "--m", "2"], id="verify-n-underscore"),
+        pytest.param(["map", "3", "--params", "\u0663,1,2,2"], id="params-arabic-digit"),
+        pytest.param(["series", "--k", "\u0663", "--d", "2", "--m", "2"], id="series-k-arabic-digit"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
