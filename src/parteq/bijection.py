@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedModulus,
     check_int,
 )
-from .partition import Partition
+from .partition import Partition, canonical
 
 
 class BijectionTrace(NamedTuple):
@@ -142,7 +142,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     _check_modulus(d)
     check_int("m", m, 1)
     md = m * d
-    folded: dict[int, int] = {}
+    folded: list[tuple[int, int]] = []
     for part, mult in delta.entries:
         if part > md:
             raise DomainError(f"part {part} exceeds {md}")
@@ -157,8 +157,8 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
         # this holds by uniqueness of L_j but is checked, not assumed.
         if part > m and l != bound_exponent(j, d, m):
             raise InternalError(f"part {part} not of the form j*d^L_j")
-        folded[j] = folded.get(j, 0) + mult * scale
-    return Partition._trusted(tuple(sorted(folded.items(), reverse=True)))
+        folded.append((j, mult * scale))
+    return Partition._trusted(canonical(folded))
 
 
 def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
@@ -206,10 +206,7 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     epsilon = Partition._trusted(tuple(eps_pairs))
 
     delta = finite_glaisher_forward(o, d, m)
-    # every epsilon part d*p has p > cut >= every mu_star_0 part, so
-    # epsilon's entries followed by mu_star_0's are canonical
-    kappa = Partition._trusted(epsilon.entries + mu_star_0.entries)
-    kappa += delta
+    kappa = Partition._trusted(canonical(epsilon.entries + mu_star_0.entries + delta.entries))
 
     # the first read of kappa's weight sums kappa's own entries
     if kappa._weight != params.n or not is_in_B(kappa, params):

@@ -23,6 +23,18 @@ from .errors import ParseError
 _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
 
+def canonical(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The canonical entries of a bag of (part, multiplicity) pairs.
+
+    Adds up the multiplicities of each part and sorts by descending part.
+    No validation: every caller passes parts and multiplicities >= 1.
+    """
+    acc: dict[int, int] = {}
+    for part, mult in pairs:
+        acc[part] = acc.get(part, 0) + mult
+    return tuple(sorted(acc.items(), reverse=True))
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of a nonnegative integer, as (part, multiplicity) pairs.
@@ -57,9 +69,10 @@ class Partition:
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Partition":
         """Wrap entries that are canonical by construction, without validating.
 
-        Only for callers whose entries are strictly descending with every
-        part and multiplicity >= 1 because of how they were built. Any
-        other input goes through Partition(...) or from_pairs.
+        Only for three kinds of entries: a subsequence of canonical
+        entries, entries generated in canonical order, or the output of
+        canonical(). Any other input goes through Partition(...) or
+        from_pairs.
         """
         p = object.__new__(cls)
         # the instance dict, written directly: the one field __init__
@@ -79,15 +92,15 @@ class Partition:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Build from (part, multiplicity) pairs in any order; merges duplicates."""
-        acc: dict[int, int] = {}
+        kept = []
         for part, mult in pairs:
             # checked per pair, so a negative multiplicity cannot hide
             # behind another pair for the same part
             if part < 1 or mult < 0:
                 raise ValueError(f"invalid pair ({part}, {mult}): parts must be >= 1, multiplicities >= 0")
             if mult:
-                acc[part] = acc.get(part, 0) + mult
-        return cls(tuple(sorted(acc.items(), reverse=True)))
+                kept.append((part, mult))
+        return cls(canonical(kept))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -128,31 +141,8 @@ class Partition:
         return Partition._trusted(tuple(reversed(heights)))
 
     def __add__(self, other: "Partition") -> "Partition":
-        """Multiset union: multiplicities add pointwise.
-
-        One merge of the two descending entry lists; a part in both gets
-        the sum of its multiplicities, so the result is canonical as built.
-        """
-        a, b = self.entries, other.entries
-        merged = []
-        len_a, len_b = len(a), len(b)
-        i = j = 0
-        while i < len_a and j < len_b:
-            x = a[i]
-            y = b[j]
-            if x[0] > y[0]:
-                merged.append(x)
-                i += 1
-            elif x[0] < y[0]:
-                merged.append(y)
-                j += 1
-            else:
-                merged.append((x[0], x[1] + y[1]))
-                i += 1
-                j += 1
-        merged += a[i:]
-        merged += b[j:]
-        return Partition._trusted(tuple(merged))
+        """Multiset union: multiplicities add pointwise."""
+        return Partition._trusted(canonical(self.entries + other.entries))
 
     def render(self) -> str:
         """Canonical text form, e.g. '7^4 6^2 5 1'. Empty partition -> ''."""
@@ -170,9 +160,15 @@ class Partition:
             match = _TOKEN_RE.fullmatch(token)
             if match is None:
                 raise ParseError(f"malformed token {token!r} at position {pos}", position=pos)
-            part = int(match.group(1))
+            try:
+                part = int(match.group(1))
+                mult = int(match.group(2) or 1)
+            except ValueError:
+                # the token is all ASCII digits, so this is the interpreter's
+                # limit on the digits int() reads from text
+                raise ParseError(f"integer too long in token at position {pos}", position=pos) from None
             if entries and part >= entries[-1][0]:
                 raise ParseError(f"parts must be strictly descending at position {pos}", position=pos)
-            entries.append((part, int(match.group(2) or 1)))
+            entries.append((part, mult))
             pos += len(token) + 1
         return Partition(tuple(entries))

@@ -83,6 +83,17 @@ def test_parse_error_position():
     assert info.value.position == 2
 
 
+# more digits than int() reads from text by default (4300)
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("text", [pytest.param(f"7 {LONG}", id="part"), pytest.param(f"7 5^{LONG}", id="multiplicity")])
+def test_parse_rejects_overlong_integer_at_its_token(text):
+    with pytest.raises(ParseError) as info:
+        Partition.parse(text)
+    assert info.value.position == 2
+
+
 def test_render_round_trip():
     for text in ["", "1", "9^3", "7 5^2 3 1^4"]:
         assert Partition.parse(text).render() == text

@@ -1,7 +1,9 @@
 """Hypothesis property suites for the structural operations and maps."""
 
+from functools import reduce
+
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from parteq.bijection import (
     _split_by_divisibility,
@@ -13,11 +15,33 @@ from parteq.bijection import (
     phi_inverse,
 )
 from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
-from parteq.partition import Partition
+from parteq.partition import Partition, canonical
 
 from conftest import largest_part
 
 TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
+
+
+def merge_reference(a, b):
+    """Two-pointer merge of two descending entry tuples; a shared part sums.
+
+    Written apart from partition.canonical, so the multiset sum is checked
+    against a second implementation.
+    """
+    merged = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i][0] > b[j][0]:
+            merged.append(a[i])
+            i += 1
+        elif a[i][0] < b[j][0]:
+            merged.append(b[j])
+            j += 1
+        else:
+            merged.append((a[i][0], a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    return tuple(merged) + a[i:] + b[j:]
 
 
 def assert_canonical(p):
@@ -166,8 +190,20 @@ def test_add_matches_from_pairs(p, data):
     r = Partition.from_pairs((*data.draw(partitions()).entries, *shared))
     for left, right in ((p, r), (r, p), (p, Partition()), (Partition(), r)):
         total = left + right
+        assert total.entries == merge_reference(left.entries, right.entries)
         assert total == Partition.from_pairs((*left.entries, *right.entries))
         assert_canonical(total)
+
+
+# bags drawn from few parts, so most repeat a part
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 8)), max_size=12))
+@example([])
+def test_canonical_matches_merge_reference(bag):
+    entries = canonical(bag)
+    assert entries == reduce(merge_reference, ((pair,) for pair in bag), ())
+    assert all(a[0] > b[0] for a, b in zip(entries, entries[1:]))
+    assert all(mult >= 1 for _, mult in entries)
+    assert sum(part * mult for part, mult in entries) == sum(part * mult for part, mult in bag)
 
 
 def test_trace_partitions_are_canonical_on_the_grid():
