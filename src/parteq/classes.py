@@ -38,7 +38,12 @@ def integer(text: str) -> int:
     """
     if _INTEGER_RE.fullmatch(text) is None:
         raise DomainError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # the text is all ASCII digits, so this is the interpreter's limit
+        # on the digits int() reads; the digits are not echoed back
+        raise DomainError(f"integer too long: {len(text)} characters") from None
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,7 @@ class ClassParams:
         fields = text.split(",")
         if len(fields) != 4:
             raise DomainError(f"expected 'n,k,d,m', got {text!r}")
-        try:
-            n, k, d, m = (integer(f) for f in fields)
-        except ValueError as exc:
-            raise DomainError(f"non-integer in params {text!r}") from exc
-        return cls(n, k, d, m)
+        return cls(*map(integer, fields))
 
 
 @functools.cache
@@ -157,18 +158,22 @@ def is_in_A(p: Partition, params: ClassParams) -> bool:
 
 
 def is_in_B(p: Partition, params: ClassParams) -> bool:
-    """Membership in B(n,k,d,m); branches on m < k vs m >= k.
+    """Membership in B(n,k,d,m); the partition shows which case applies.
 
-    One walk down the descending entries, which stops as soon as the
-    answer is known.
+    A largest part above m*d (possible only when m < k) must equal k*d,
+    and every part above m*d must be divisible by d. Otherwise k must be
+    the largest part <= m that occurs at least d times; for m >= n that is
+    Smoot and Yang's "the largest part repeated at least d times is k".
+    One walk down the descending entries, which stops at the first part
+    below k at the latest.
     """
     if p._weight != params.n:
         return False
     k, d, m = params.k, params.d, params.m
     md = m * d
     entries = p.entries
-    if m < k:
-        if not entries or entries[0][0] != k * d:
+    if entries and entries[0][0] > md:
+        if entries[0][0] != k * d:
             return False
         for part, _ in entries:
             if part <= md:
@@ -176,17 +181,11 @@ def is_in_B(p: Partition, params: ClassParams) -> bool:
             if part % d:
                 return False
         return True
-    if entries and entries[0][0] > md:
-        return False
     for part, mult in entries:
-        if part > m:
-            continue
-        if part > k:
-            if mult >= d:
-                return False
-            continue
-        # the first part <= k decides: it must be k, occurring at least d times
-        return part == k and mult >= d
+        if part < k:
+            return False
+        if part <= m and mult >= d:
+            return part == k
     return False
 
 

@@ -89,8 +89,6 @@ class TruncatedSeries:
             raise DomainError(f"factor exponent must be >= 1, got {e}")
         c = self.coefficients
         N = len(c) - 1
-        if e == 1:
-            return TruncatedSeries(tuple(accumulate(c)))
         if e * e <= N:
             out = list(c)
             for r in range(e):

@@ -10,6 +10,7 @@ from parteq.classes import (
     enumerate_A,
     enumerate_B,
     enumerate_partitions,
+    integer,
     is_in_A,
     is_in_B,
 )
@@ -138,6 +139,18 @@ def test_params_parse():
         ClassParams.parse("1,2,3")
     with pytest.raises(DomainError):
         ClassParams.parse("1,2,3,x")
+
+
+def test_integer_rejects_overlong_digits_as_domain_error():
+    # int() refuses text past the interpreter's digit limit with a plain ValueError
+    with pytest.raises(DomainError, match="5000 characters"):
+        integer("9" * 5000)
+
+
+def test_params_parse_overlong_integer_gives_short_message():
+    with pytest.raises(DomainError) as info:
+        ClassParams.parse("3,1,2," + "9" * 5000)
+    assert len(str(info.value)) < 200
 
 
 def test_enumerate_partitions_n0():
@@ -316,11 +329,14 @@ def test_equinumerosity_spot_checks():
 
 
 def test_B_disjoint_over_k():
-    # each partition lies in B(n,k,d,m) for at most one k
-    n, d, m = 12, 2, 4
-    for p in enumerate_partitions(n):
-        holds = [k for k in range(1, n + 1) if is_in_B(p, ClassParams(n, k, d, m))]
-        assert len(holds) <= 1
+    # each partition lies in B(n,k,d,m) for at most one k, at every (d, m)
+    # of the standard grid
+    for n in range(0, 15):
+        for d in range(1, 5):
+            for m in range(1, 9):
+                params = [ClassParams(n, k, d, m) for k in range(1, n + 1)]
+                for p in enumerate_partitions(n):
+                    assert sum(is_in_B(p, q) for q in params) <= 1
 
 
 def test_reduction_to_unbounded_for_large_m():

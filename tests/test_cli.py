@@ -80,6 +80,13 @@ def test_map_parse_error(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_map_overlong_params_integer_is_one_short_line(capsys):
+    code, out, err = run(capsys, "map", "3", "--params", "3,1,2," + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_count_enumerate(capsys):
     code, out, _ = run(capsys, "count", "--params", "7,2,2,4", "--class", "A", "--method", "enumerate")
     assert code == 0
