@@ -61,7 +61,7 @@ class BijectionTrace(NamedTuple):
 
 
 def _check_modulus(d: int) -> None:
-    # inline rather than check_int: this runs several times per round trip
+    # not check_int: a bad modulus raises its own type, UnsupportedModulus
     if type(d) is not int or d < 2:
         raise UnsupportedModulus(f"modulus must be an integer >= 2, got {d!r}")
 

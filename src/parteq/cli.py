@@ -128,10 +128,7 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 def _parse_range(text: str) -> range:
     """The inclusive range written as 'lo..hi' or as a single value."""
     lo, sep, hi = text.partition("..")
-    try:
-        lo, hi = integer(lo), integer(hi if sep else lo)
-    except ValueError:
-        raise DomainError(f"expected an integer or a range lo..hi, got {text!r}") from None
+    lo, hi = integer(lo), integer(hi if sep else lo)
     if hi < lo:
         raise DomainError(f"upper bound {hi} below lower bound {lo}")
     return range(lo, hi + 1)

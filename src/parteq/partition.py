@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import DomainError, ParseError, check_int
 
 _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
@@ -49,20 +49,16 @@ class Partition:
     def __post_init__(self):
         if type(self.entries) is not tuple:
             kind = type(self.entries).__name__
-            raise ValueError(f"entries must be a tuple of (part, multiplicity) tuples, got a {kind}")
+            raise DomainError(f"entries must be a tuple of (part, multiplicity) tuples, got a {kind}")
         prev = None
         for entry in self.entries:
             if type(entry) is not tuple or len(entry) != 2:
-                raise ValueError(f"invalid entry {entry!r}: expected a (part, multiplicity) tuple")
+                raise DomainError(f"invalid entry {entry!r}: expected a (part, multiplicity) tuple")
             part, mult = entry
-            # exactly int: a bool or a float would pass the comparisons
-            # below and then render or hash as something else
-            if type(part) is not int or type(mult) is not int:
-                raise ValueError(f"invalid entry {entry!r}: parts and multiplicities must be ints")
-            if part < 1 or mult < 1:
-                raise ValueError(f"invalid entry ({part}, {mult}): parts and multiplicities must be >= 1")
+            check_int("part", part, 1)
+            check_int("multiplicity", mult, 1)
             if prev is not None and part >= prev:
-                raise ValueError("entries must be strictly descending by part")
+                raise DomainError("entries must be strictly descending by part")
             prev = part
 
     @classmethod
@@ -71,8 +67,9 @@ class Partition:
 
         Only for three kinds of entries: a subsequence of canonical
         entries, entries generated in canonical order, or the output of
-        canonical(). Any other input goes through Partition(...) or
-        from_pairs.
+        canonical(). parse (the tokens it checked, read in canonical
+        order) and from_pairs (canonical() of the pairs it checked) build
+        through here; any other input goes through Partition(...).
         """
         p = object.__new__(cls)
         # the instance dict, written directly: the one field __init__
@@ -96,11 +93,11 @@ class Partition:
         for part, mult in pairs:
             # checked per pair, so a negative multiplicity cannot hide
             # behind another pair for the same part
-            if part < 1 or mult < 0:
-                raise ValueError(f"invalid pair ({part}, {mult}): parts must be >= 1, multiplicities >= 0")
+            check_int("part", part, 1)
+            check_int("multiplicity", mult, 0)
             if mult:
                 kept.append((part, mult))
-        return cls(canonical(kept))
+        return cls._trusted(canonical(kept))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -171,4 +168,4 @@ class Partition:
                 raise ParseError(f"parts must be strictly descending at position {pos}", position=pos)
             entries.append((part, mult))
             pos += len(token) + 1
-        return Partition(tuple(entries))
+        return Partition._trusted(tuple(entries))

@@ -41,7 +41,7 @@ class TruncatedSeries:
         c = self.coefficients
         if type(c) is not tuple or not c:
             got = "()" if c == () else f"a {type(c).__name__}"
-            raise ValueError(f"coefficients must be a non-empty tuple, got {got}")
+            raise DomainError(f"coefficients must be a non-empty tuple, got {got}")
 
     @property
     def truncation_degree(self) -> int:
@@ -70,8 +70,7 @@ class TruncatedSeries:
 
     def times_factor(self, e: int) -> "TruncatedSeries":
         """Multiply by (1 - q^e): c'_i = c_i - c_{i-e}, as one map over the tail."""
-        if e < 1:
-            raise DomainError(f"factor exponent must be >= 1, got {e}")
+        check_int("e", e, 1)
         c = self.coefficients
         out = list(c[:e])
         out.extend(map(sub, c[e:], c))
@@ -85,8 +84,7 @@ class TruncatedSeries:
         accumulate over its extended slice; otherwise there are few blocks
         of e, each added to the finished block before it.
         """
-        if e < 1:
-            raise DomainError(f"factor exponent must be >= 1, got {e}")
+        check_int("e", e, 1)
         c = self.coefficients
         N = len(c) - 1
         if e * e <= N:

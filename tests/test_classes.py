@@ -114,6 +114,12 @@ ENTRY_POINTS = {
     # 1 and 2 cached first: True and 2.0 compare equal to them, and the
     # cache must not answer for them without the check
     "count_partitions.n": (lambda v: count_partitions(1) + count_partitions(2) + count_partitions(v), 0),
+    "times_factor.e": (lambda v: TruncatedSeries.monomial(0, 4).times_factor(v), 1),
+    "times_inverse_factor.e": (lambda v: TruncatedSeries.monomial(0, 4).times_inverse_factor(v), 1),
+    "Partition.part": (lambda v: Partition(((v, 1),)), 1),
+    "Partition.multiplicity": (lambda v: Partition(((3, v),)), 1),
+    "from_pairs.part": (lambda v: Partition.from_pairs([(v, 1)]), 1),
+    "from_pairs.multiplicity": (lambda v: Partition.from_pairs([(3, v)]), 0),
 }
 
 
@@ -131,6 +137,35 @@ def test_entry_points_reject_non_int_or_below_bound(entry, kind):
     value = low - 1 if kind == "below-bound" else {"bool": True, "float": 2.0}[kind]
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Partition.from_pairs([("a", 1)]), id="from_pairs-str-part"),
+        pytest.param(lambda: TruncatedSeries.monomial(0, 4).times_factor("2"), id="times_factor-str"),
+        pytest.param(lambda: TruncatedSeries.monomial(0, 4).times_inverse_factor("2"), id="times_inverse_factor-str"),
+    ],
+)
+def test_entry_points_reject_str(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# one bad input per structural check of the two validating constructors
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Partition([(3, 1)]), id="partition-entries-not-tuple"),
+        pytest.param(lambda: Partition(((3,),)), id="partition-entry-not-pair"),
+        pytest.param(lambda: Partition(((1, 1), (2, 1))), id="partition-not-descending"),
+        pytest.param(lambda: TruncatedSeries([1, 0]), id="series-coefficients-not-tuple"),
+        pytest.param(lambda: TruncatedSeries(()), id="series-coefficients-empty"),
+    ],
+)
+def test_constructor_errors_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_params_parse():

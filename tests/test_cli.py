@@ -87,6 +87,13 @@ def test_map_overlong_params_integer_is_one_short_line(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_verify_overlong_range_integer_is_one_short_line(capsys):
+    code, out, err = run(capsys, "verify", "--n", "9" * 5000, "--k", "1", "--d", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_count_enumerate(capsys):
     code, out, _ = run(capsys, "count", "--params", "7,2,2,4", "--class", "A", "--method", "enumerate")
     assert code == 0

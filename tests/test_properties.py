@@ -1,5 +1,6 @@
 """Hypothesis property suites for the structural operations and maps."""
 
+from collections import Counter
 from functools import reduce
 
 import hypothesis.strategies as st
@@ -15,6 +16,7 @@ from parteq.bijection import (
     phi_inverse,
 )
 from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
+from parteq.errors import ParseError
 from parteq.partition import Partition, canonical
 
 from conftest import largest_part
@@ -204,6 +206,50 @@ def test_canonical_matches_merge_reference(bag):
     assert all(a[0] > b[0] for a, b in zip(entries, entries[1:]))
     assert all(mult >= 1 for _, mult in entries)
     assert sum(part * mult for part, mult in entries) == sum(part * mult for part, mult in bag)
+
+
+# parse and from_pairs build through Partition._trusted; each is checked
+# here against the validating constructor
+
+
+def test_parse_of_every_small_partition_is_canonical():
+    for n in range(0, 19):
+        for p in enumerate_partitions(n):
+            parsed = Partition.parse(p.render())
+            assert parsed == p
+            assert_canonical(parsed)
+
+
+# tokens near the canonical form: zeros, leading zeros, ^0 and ^1, and
+# stray characters, so most strings are malformed somewhere
+TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda t: f"{t[0]}^{t[1]}"),
+    st.text(alphabet="0129^ x-", max_size=4),
+)
+
+
+@given(st.lists(TOKENS, max_size=6).map(" ".join))
+@example("7 5^2 3 1^4")
+@example("3 03")
+def test_parse_rejects_or_builds_canonical(text):
+    try:
+        parsed = Partition.parse(text)
+    except ParseError:
+        return
+    assert_canonical(parsed)
+
+
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4)), max_size=12))
+@example([(3, 0)])
+def test_from_pairs_matches_validating_constructor(bag):
+    total = Counter()
+    for part, mult in bag:
+        total[part] += mult
+    entries = tuple(sorted(((part, mult) for part, mult in total.items() if mult), reverse=True))
+    built = Partition.from_pairs(bag)
+    assert built == Partition(entries)
+    assert_canonical(built)
 
 
 def test_trace_partitions_are_canonical_on_the_grid():
