@@ -4,7 +4,8 @@ The forward map splits lambda in A(n,k,d,m) into mu (the k parts divisible
 by d) and o (the rest), conjugates mu, splits the conjugate into a bounded
 piece and a rescaled piece, applies a finite-bound variant of Glaisher's
 map to o, and reassembles. The inverse undoes each step. Both directions
-record every intermediate subpartition in a trace.
+work on entry tuples throughout, with a Partition only for lambda and
+kappa, and record every intermediate subpartition in a trace.
 
 The finite-bound Glaisher map truncates the base-d expansion of each
 multiplicity N_j at the unique exponent L_j with m < j*d^L_j <= m*d,
@@ -14,7 +15,7 @@ leaving an unrestricted overflow multiplicity on the part j*d^L_j.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from operator import attrgetter
 
 from .classes import ClassParams, is_in_A, is_in_B
 from .errors import (
@@ -25,38 +26,60 @@ from .errors import (
     UnsupportedModulus,
     check_int,
 )
-from .partition import Partition, canonical
+from .partition import Partition, _conjugate, _render, canonical
 
 
-class BijectionTrace(NamedTuple):
+def _built_when_read(slot: str) -> property:
+    """A trace field: the Partition of the entry tuple in slot, built on each read."""
+    read = attrgetter(slot)
+    return property(lambda self: Partition._trusted(read(self)))
+
+
+class BijectionTrace:
     """Every intermediate subpartition of one application of the bijection.
 
-    A named tuple, because every phi and phi_inverse call builds one.
+    Holds the entry tuples phi and phi_inverse built; each field is a
+    Partition built from them when read, since most traces are never read,
+    and to_json renders the entry tuples themselves.
     """
 
-    lam: Partition
-    mu: Partition
-    o: Partition
-    mu_star: Partition
-    mu_star_0: Partition
-    epsilon: Partition  # stored rescaled: parts are d*i
-    delta: Partition
-    kappa: Partition
-    params: ClassParams
-    direction: str  # "forward" | "inverse"
+    __slots__ = ("_lam", "_mu", "_o", "_mu_star", "_mu_star_0", "_epsilon", "_delta", "_kappa",
+                 "params", "direction")
+
+    def __init__(self, lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa,
+                 params: ClassParams, direction: str):
+        self._lam = lam
+        self._mu = mu
+        self._o = o
+        self._mu_star = mu_star
+        self._mu_star_0 = mu_star_0
+        self._epsilon = epsilon  # stored rescaled: parts are d*i
+        self._delta = delta
+        self._kappa = kappa
+        self.params = params
+        self.direction = direction  # "forward" | "inverse"
+
+    lam = _built_when_read("_lam")
+    mu = _built_when_read("_mu")
+    o = _built_when_read("_o")
+    mu_star = _built_when_read("_mu_star")
+    mu_star_0 = _built_when_read("_mu_star_0")
+    epsilon = _built_when_read("_epsilon")
+    delta = _built_when_read("_delta")
+    kappa = _built_when_read("_kappa")
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps({
             "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},
             "direction": self.direction,
-            "lambda": self.lam.render(),
-            "mu": self.mu.render(),
-            "o": self.o.render(),
-            "mu_star": self.mu_star.render(),
-            "mu_star_0": self.mu_star_0.render(),
-            "epsilon": self.epsilon.render(),
-            "delta": self.delta.render(),
-            "kappa": self.kappa.render(),
+            "lambda": _render(self._lam),
+            "mu": _render(self._mu),
+            "o": _render(self._o),
+            "mu_star": _render(self._mu_star),
+            "mu_star_0": _render(self._mu_star_0),
+            "epsilon": _render(self._epsilon),
+            "delta": _render(self._delta),
+            "kappa": _render(self._kappa),
         }, indent=indent)
 
 
@@ -89,6 +112,11 @@ def bound_exponent(j: int, d: int, m: int) -> int:
     check_int("m", m, 1)
     if not 1 <= j <= m * d:
         raise DomainError(f"part {j} outside (0, {m * d}]")
+    return _bound_exponent(j, d, m)
+
+
+def _bound_exponent(j: int, d: int, m: int) -> int:
+    """bound_exponent without its checks, for callers that meet its preconditions."""
     L = 0
     v = j
     while v <= m:
@@ -108,9 +136,14 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     """
     _check_modulus(d)
     check_int("m", m, 1)
+    return Partition._trusted(_glaisher_forward(o.entries, d, m))
+
+
+def _glaisher_forward(entries: tuple[tuple[int, int], ...], d: int, m: int) -> tuple[tuple[int, int], ...]:
+    """finite_glaisher_forward on canonical entries, for an int d >= 2 and m >= 1."""
     md = m * d
     pairs: list[tuple[int, int]] = []
-    for part, mult in o.entries:
+    for part, mult in entries:
         if part % d == 0:
             raise DomainError(f"part {part} divisible by {d}")
         # a part not divisible by d is below m*d exactly when it is at most
@@ -130,7 +163,7 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     # the parts j*d^l are distinct, as d does not divide j, so one sort
     # makes the pairs canonical
     pairs.sort(reverse=True)
-    return Partition._trusted(tuple(pairs))
+    return tuple(pairs)
 
 
 def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
@@ -141,9 +174,14 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     """
     _check_modulus(d)
     check_int("m", m, 1)
+    return Partition._trusted(_glaisher_inverse(delta.entries, d, m))
+
+
+def _glaisher_inverse(entries: tuple[tuple[int, int], ...], d: int, m: int) -> tuple[tuple[int, int], ...]:
+    """finite_glaisher_inverse on canonical entries, for an int d >= 2 and m >= 1."""
     md = m * d
     folded: list[tuple[int, int]] = []
-    for part, mult in delta.entries:
+    for part, mult in entries:
         if part > md:
             raise DomainError(f"part {part} exceeds {md}")
         if part <= m and mult >= d:
@@ -155,25 +193,25 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
             l += 1
         # Parts above m must sit exactly at the collection exponent L_j;
         # this holds by uniqueness of L_j but is checked, not assumed.
-        if part > m and l != bound_exponent(j, d, m):
+        if part > m and l != _bound_exponent(j, d, m):
             raise InternalError(f"part {part} not of the form j*d^L_j")
         folded.append((j, mult * scale))
-    return Partition._trusted(canonical(folded))
+    return canonical(folded)
 
 
-def _split_by_divisibility(lam: Partition, d: int) -> tuple[Partition, Partition]:
-    """Split into (parts divisible by d, the rest).
+def _split_by_divisibility(entries: tuple[tuple[int, int], ...], d: int) -> tuple[tuple, tuple]:
+    """Split canonical entries into (parts divisible by d, the rest).
 
-    Both are subsequences of lam's entries, so they stay canonical.
+    Both are subsequences of the entries, so they stay canonical.
     """
     div = []
     rest = []
-    for entry in lam.entries:
+    for entry in entries:
         if entry[0] % d:
             rest.append(entry)
         else:
             div.append(entry)
-    return Partition._trusted(tuple(div)), Partition._trusted(tuple(rest))
+    return tuple(div), tuple(rest)
 
 
 def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
@@ -183,8 +221,8 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
         raise NotInClassA(f"{lam.render()!r} is not in A{(params.n, params.k, params.d, params.m)}")
     d, k, m = params.d, params.k, params.m
 
-    mu, o = _split_by_divisibility(lam, d)
-    mu_star = mu.conjugate()
+    mu, o = _split_by_divisibility(lam.entries, d)
+    mu_star = _conjugate(mu)
 
     # One walk over mu_star checks and splits it. Conjugating a partition
     # into multiples of d yields multiplicities that are multiples of d,
@@ -194,7 +232,7 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     cut = min(m, k)
     eps_pairs: list[tuple[int, int]] = []
     mu0_pairs: list[tuple[int, int]] = []
-    for entry in mu_star.entries:
+    for entry in mu_star:
         part, mult = entry
         if mult % d:
             raise InternalError("conjugate of d-divisible subpartition has a multiplicity not divisible by d")
@@ -202,17 +240,17 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
             eps_pairs.append((part * d, mult // d))
         else:
             mu0_pairs.append(entry)
-    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
-    epsilon = Partition._trusted(tuple(eps_pairs))
+    mu_star_0 = tuple(mu0_pairs)
+    epsilon = tuple(eps_pairs)
 
-    delta = finite_glaisher_forward(o, d, m)
-    kappa = Partition._trusted(canonical(epsilon.entries + mu_star_0.entries + delta.entries))
+    delta = _glaisher_forward(o, d, m)
+    kappa = Partition._trusted(canonical(epsilon + mu_star_0 + delta))
 
     # the first read of kappa's weight sums kappa's own entries
     if kappa._weight != params.n or not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
 
-    trace = BijectionTrace(lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa, params, "forward")
+    trace = BijectionTrace(lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries, params, "forward")
     return kappa, trace
 
 
@@ -248,22 +286,22 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
 
     # Each list took a subsequence of kappa's descending parts, with
     # multiplicities >= 1, so each is canonical as built.
-    mu_star_0 = Partition._trusted(tuple(mu0_pairs))
-    epsilon = Partition._trusted(tuple(eps_pairs))
-    delta = Partition._trusted(tuple(delta_pairs))
+    mu_star_0 = tuple(mu0_pairs)
+    epsilon = tuple(eps_pairs)
+    delta = tuple(delta_pairs)
 
     # epsilon's parts exceed m*d and d divides them (membership), so each
     # rescaled part p // d exceeds m >= cut >= every mu_star_0 part
-    mu_star = Partition._trusted(tuple(unscaled_pairs) + mu_star_0.entries)
-    if mu_star.multiplicity(k) < d:
+    mu_star = tuple(unscaled_pairs) + mu_star_0
+    if dict(mu_star).get(k, 0) < d:
         raise InternalError("reconstructed conjugate lacks d copies of the distinguished part")
 
-    mu = mu_star.conjugate()
-    o = finite_glaisher_inverse(delta, d, m)
-    lam = mu + o
+    mu = _conjugate(mu_star)
+    o = _glaisher_inverse(delta, d, m)
+    lam = Partition._trusted(canonical(mu + o))
 
     if lam._weight != params.n or not is_in_A(lam, params):
         raise InternalError(f"phi_inverse produced {lam.render()!r} outside A")
 
-    trace = BijectionTrace(lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa, params, "inverse")
+    trace = BijectionTrace(lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries, params, "inverse")
     return lam, trace

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from parteq.bijection import (
     phi,
     phi_inverse,
 )
-from parteq.classes import ClassParams, enumerate_A, enumerate_B, is_in_B
+from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
 from parteq.partition import Partition
 
@@ -216,7 +217,7 @@ def test_phi_inverse_rejects_non_members():
 
 
 def test_phi_self_check_mu_star_multiplicity(monkeypatch):
-    monkeypatch.setattr(Partition, "conjugate", lambda self: Partition.parse("3 2^3"))
+    monkeypatch.setattr("parteq.bijection._conjugate", lambda entries: Partition.parse("3 2^3").entries)
     with pytest.raises(InternalError, match="multiplicity not divisible"):
         phi(LAMBDA_1, PARAMS_1)
 
@@ -225,7 +226,7 @@ def test_phi_self_check_kappa_weight(monkeypatch):
     # membership waved through, so only the explicit weight test can catch
     # the missing Glaisher image
     monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: True)
-    monkeypatch.setattr("parteq.bijection.finite_glaisher_forward", lambda o, d, m: EMPTY)
+    monkeypatch.setattr("parteq.bijection._glaisher_forward", lambda entries, d, m: ())
     with pytest.raises(InternalError, match="outside B"):
         phi(LAMBDA_1, PARAMS_1)
 
@@ -245,7 +246,7 @@ def test_phi_inverse_self_check_copies_of_k(monkeypatch):
 
 def test_phi_inverse_self_check_lambda_weight(monkeypatch):
     monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: True)
-    monkeypatch.setattr("parteq.bijection.finite_glaisher_inverse", lambda delta, d, m: EMPTY)
+    monkeypatch.setattr("parteq.bijection._glaisher_inverse", lambda entries, d, m: ())
     with pytest.raises(InternalError, match="outside A"):
         phi_inverse(KAPPA_1, PARAMS_1)
 
@@ -258,7 +259,7 @@ def test_phi_inverse_self_check_lambda_membership(monkeypatch):
 
 def test_glaisher_inverse_self_check_exponent(monkeypatch):
     # 8 = 1 * 2^3 sits at L_1 = 3 for m = 4; any other L_j must raise
-    monkeypatch.setattr("parteq.bijection.bound_exponent", lambda j, d, m: 99)
+    monkeypatch.setattr("parteq.bijection._bound_exponent", lambda j, d, m: 99)
     with pytest.raises(InternalError, match="not of the form"):
         finite_glaisher_inverse(Partition.parse("8"), 2, 4)
 
@@ -320,3 +321,32 @@ def test_multiplicity_congruence_in_forward_trace():
         kappa, t = phi(lam, params)
         for i in range(1, min(params.m, params.k) + 1):
             assert kappa.multiplicity(i) % params.d == t.delta.multiplicity(i) % params.d
+
+
+# sha256 of every trace's to_json() line, newline-terminated: phi on each
+# A member and phi_inverse on each B member, n <= 14, k <= 6, 2 <= d <= 4,
+# m <= 8, in generator order. Any change to what a trace records, or to
+# how it renders, shows here.
+TRACE_DIGEST = "ce253b1e5c8f2f094b73c9d2dd42e0e0266d631fd07715ca2497671d83ccc67c"
+
+
+def test_trace_json_digest_on_the_grid():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(0, 15):
+        members = list(enumerate_partitions(n))
+        for k in range(1, 7):
+            for d in range(2, 5):
+                for m in range(1, 9):
+                    params = ClassParams(n, k, d, m)
+                    for lam in members:
+                        traces = []
+                        if is_in_A(lam, params):
+                            traces.append(phi(lam, params)[1])
+                        if is_in_B(lam, params):
+                            traces.append(phi_inverse(lam, params)[1])
+                        for trace in traces:
+                            digest.update(trace.to_json().encode() + b"\n")
+                            count += 1
+    assert count == 12134
+    assert digest.hexdigest() == TRACE_DIGEST

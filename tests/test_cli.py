@@ -293,7 +293,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_internal_error_exits_1(monkeypatch, capsys):
     # an empty Glaisher image makes phi's own weight check fail
-    monkeypatch.setattr("parteq.bijection.finite_glaisher_forward", lambda o, d, m: EMPTY)
+    monkeypatch.setattr("parteq.bijection._glaisher_forward", lambda entries, d, m: ())
     code, out, err = run(capsys, "map", LAMBDA_1, "--params", "123,7,3,4")
     assert code == 1
     assert out == ""

@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from parteq.errors import ParseError
+from parteq.errors import DomainError, ParseError
 from parteq.partition import Partition
 
 from conftest import EMPTY, largest_part
@@ -75,6 +75,13 @@ def test_parse_rejects_zero_part():
 def test_parse_rejects_noncanonical(bad):
     with pytest.raises(ParseError):
         Partition.parse(bad)
+
+
+@pytest.mark.parametrize("text", [None, 0, []], ids=["None", "zero", "empty-list"])
+def test_parse_rejects_non_str(text):
+    # falsy, so none may pass as the empty text ''
+    with pytest.raises(DomainError, match="expected partition text"):
+        Partition.parse(text)
 
 
 def test_parse_error_position():
@@ -157,3 +164,13 @@ def test_weight_field_stays_out_of_repr_eq_and_hash():
             assert copied == original
             assert hash(copied) == hash(original)
             assert copied.weight() == original.weight()
+
+
+@pytest.mark.parametrize("pairs", [[3], [(3, 1, 1)]], ids=["int", "triple"])
+def test_from_pairs_rejects_item_not_a_pair(pairs):
+    with pytest.raises(DomainError, match=r"expected a \(part, multiplicity\) pair"):
+        Partition.from_pairs(pairs)
+
+
+def test_from_pairs_accepts_any_two_item_iterable():
+    assert Partition.from_pairs([[3, 1], iter((1, 2))]) == Partition.parse("3 1^2")

@@ -7,6 +7,8 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from parteq.bijection import (
+    _glaisher_forward,
+    _glaisher_inverse,
     _split_by_divisibility,
     finite_glaisher_forward,
     finite_glaisher_inverse,
@@ -17,7 +19,7 @@ from parteq.bijection import (
 )
 from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
 from parteq.errors import ParseError
-from parteq.partition import Partition, canonical
+from parteq.partition import Partition, _conjugate, canonical
 
 from conftest import largest_part
 
@@ -165,7 +167,7 @@ def test_conjugate_is_canonical(p):
 
 @given(partitions(), st.sampled_from([2, 3, 4, 5]))
 def test_split_by_divisibility_is_canonical(p, d):
-    div, rest = _split_by_divisibility(p, d)
+    div, rest = map(Partition, _split_by_divisibility(p.entries, d))
     assert_canonical(div)
     assert_canonical(rest)
     assert div + rest == p
@@ -269,3 +271,48 @@ def test_trace_partitions_are_canonical_on_the_grid():
                         for trace in traces:
                             for name in TRACE_FIELDS:
                                 assert_canonical(getattr(trace, name))
+
+
+# The entry-tuple kernels that phi and phi_inverse call, each against the
+# method it serves (or a reference written here) on every partition of
+# n <= 16
+
+
+def small_partitions():
+    for n in range(0, 17):
+        yield from enumerate_partitions(n)
+
+
+def test_conjugate_kernel_matches_method_and_reference():
+    for p in small_partitions():
+        parts = [part for part, mult in p.entries for _ in range(mult)]
+        # part i of the transpose is the number of parts >= i
+        reference = Partition.from_parts(sum(1 for part in parts if part >= i) for i in range(1, (parts or [0])[0] + 1))
+        assert _conjugate(p.entries) == p.conjugate().entries == reference.entries
+
+
+def test_glaisher_kernels_match_wrappers():
+    for p in small_partitions():
+        entries = p.entries
+        for d in range(2, 5):
+            for m in range(1, 9):
+                md = m * d
+                if all(part % d and part < md for part, _ in entries):
+                    image = _glaisher_forward(entries, d, m)
+                    assert image == finite_glaisher_forward(p, d, m).entries
+                    assert_canonical(Partition(image))
+                    assert _glaisher_inverse(image, d, m) == entries
+                if all(part <= md and (part > m or mult < d) for part, mult in entries):
+                    folded = _glaisher_inverse(entries, d, m)
+                    assert folded == finite_glaisher_inverse(p, d, m).entries
+                    assert_canonical(Partition(folded))
+                    assert _glaisher_forward(folded, d, m) == entries
+
+
+def test_split_kernel_halves_merge_back():
+    for p in small_partitions():
+        for d in range(2, 5):
+            div, rest = _split_by_divisibility(p.entries, d)
+            assert all(part % d == 0 for part, _ in div)
+            assert all(part % d for part, _ in rest)
+            assert merge_reference(div, rest) == p.entries
