@@ -15,7 +15,6 @@ leaving an unrestricted overflow multiplicity on the part j*d^L_j.
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 
 from .classes import ClassParams, is_in_A, is_in_B
 from .errors import (
@@ -29,57 +28,50 @@ from .errors import (
 from .partition import Partition, _conjugate, _render, canonical
 
 
-def _built_when_read(slot: str) -> property:
-    """A trace field: the Partition of the entry tuple in slot, built on each read."""
-    read = attrgetter(slot)
-    return property(lambda self: Partition._trusted(read(self)))
+def _built_when_read(i: int) -> property:
+    """A trace field: the Partition of piece i, built on each read."""
+    return property(lambda self: Partition._trusted(self.pieces[i]))
 
 
 class BijectionTrace:
     """Every intermediate subpartition of one application of the bijection.
 
-    Holds the entry tuples phi and phi_inverse built; each field is a
-    Partition built from them when read, since most traces are never read,
-    and to_json renders the entry tuples themselves.
+    pieces is the one tuple of the eight entry tuples phi and phi_inverse
+    built, in field order: lam, mu, o, mu_star, mu_star_0, epsilon (stored
+    rescaled: parts are d*i), delta, kappa. Each field is a Partition built
+    from its piece when read, since most traces are never read, and
+    to_json renders the pieces themselves.
     """
 
-    __slots__ = ("_lam", "_mu", "_o", "_mu_star", "_mu_star_0", "_epsilon", "_delta", "_kappa",
-                 "params", "direction")
+    __slots__ = ("pieces", "params", "direction")
 
-    def __init__(self, lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa,
-                 params: ClassParams, direction: str):
-        self._lam = lam
-        self._mu = mu
-        self._o = o
-        self._mu_star = mu_star
-        self._mu_star_0 = mu_star_0
-        self._epsilon = epsilon  # stored rescaled: parts are d*i
-        self._delta = delta
-        self._kappa = kappa
+    def __init__(self, pieces: tuple[tuple[tuple[int, int], ...], ...], params: ClassParams, direction: str):
+        self.pieces = pieces
         self.params = params
         self.direction = direction  # "forward" | "inverse"
 
-    lam = _built_when_read("_lam")
-    mu = _built_when_read("_mu")
-    o = _built_when_read("_o")
-    mu_star = _built_when_read("_mu_star")
-    mu_star_0 = _built_when_read("_mu_star_0")
-    epsilon = _built_when_read("_epsilon")
-    delta = _built_when_read("_delta")
-    kappa = _built_when_read("_kappa")
+    lam = _built_when_read(0)
+    mu = _built_when_read(1)
+    o = _built_when_read(2)
+    mu_star = _built_when_read(3)
+    mu_star_0 = _built_when_read(4)
+    epsilon = _built_when_read(5)
+    delta = _built_when_read(6)
+    kappa = _built_when_read(7)
 
     def to_json(self, indent: int | None = None) -> str:
+        lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = self.pieces
         return json.dumps({
             "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},
             "direction": self.direction,
-            "lambda": _render(self._lam),
-            "mu": _render(self._mu),
-            "o": _render(self._o),
-            "mu_star": _render(self._mu_star),
-            "mu_star_0": _render(self._mu_star_0),
-            "epsilon": _render(self._epsilon),
-            "delta": _render(self._delta),
-            "kappa": _render(self._kappa),
+            "lambda": _render(lam),
+            "mu": _render(mu),
+            "o": _render(o),
+            "mu_star": _render(mu_star),
+            "mu_star_0": _render(mu_star_0),
+            "epsilon": _render(epsilon),
+            "delta": _render(delta),
+            "kappa": _render(kappa),
         }, indent=indent)
 
 
@@ -246,11 +238,11 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     delta = _glaisher_forward(o, d, m)
     kappa = Partition._trusted(canonical(epsilon + mu_star_0 + delta))
 
-    # the first read of kappa's weight sums kappa's own entries
+    # kappa's weight was summed from its own entries when it was built
     if kappa._weight != params.n or not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
 
-    trace = BijectionTrace(lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries, params, "forward")
+    trace = BijectionTrace((lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries), params, "forward")
     return kappa, trace
 
 
@@ -303,5 +295,5 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     if lam._weight != params.n or not is_in_A(lam, params):
         raise InternalError(f"phi_inverse produced {lam.render()!r} outside A")
 
-    trace = BijectionTrace(lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries, params, "inverse")
+    trace = BijectionTrace((lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries), params, "inverse")
     return lam, trace

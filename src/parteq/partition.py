@@ -2,9 +2,9 @@
 
 A partition is its descending tuple of (part, multiplicity) pairs and
 nothing else. Zero multiplicities are never stored, so equal partitions
-compare equal structurally and hash consistently. The weight is derived
-from the entries on first read. All operations are pure; instances are
-immutable and safe to share.
+compare equal structurally and hash consistently. The weight is summed
+from the entries when a partition is built. All operations are pure;
+instances are immutable and safe to share.
 
 Canonical text format: space-separated tokens ``part`` or ``part^mult``
 with parts strictly descending, the ``^mult`` suffix only for mult >= 2,
@@ -64,30 +64,21 @@ def _render(entries: tuple[tuple[int, int], ...]) -> str:
     return " ".join([f"{part}^{mult}" if mult >= 2 else str(part) for part, mult in entries])
 
 
-class _SummedOnFirstRead:
-    """Partition._weight: the entries' sum, computed on first read.
-
-    The sum goes into the instance dict, past the frozen guard, where
-    every later read finds it before this descriptor. This is what
-    functools.cached_property does, less the lock that it takes on each
-    first read up to Python 3.11, about 1 µs there (timeit, Python 3.11.7).
-    """
-
-    def __get__(self, p, owner=None):
-        weight = 0
-        for part, mult in p.entries:
-            weight += part * mult
-        p.__dict__["_weight"] = weight
-        return weight
+def _weigh(entries: tuple[tuple[int, int], ...]) -> int:
+    """The weight of canonical entries: each part times its multiplicity, summed."""
+    weight = 0
+    for part, mult in entries:
+        weight += part * mult
+    return weight
 
 
 @dataclass(frozen=True)
 class Partition:
     """A partition of a nonnegative integer, as (part, multiplicity) pairs.
 
-    The entries are the only field. The weight is summed from them on
-    first read and cached in the instance dict; it takes no part in
-    equality, hashing or repr.
+    The entries are the only field. Both constructors sum the weight from
+    them into the instance dict, as _weight; it takes no part in equality,
+    hashing or repr.
     """
 
     entries: tuple[tuple[int, int], ...] = ()
@@ -106,6 +97,8 @@ class Partition:
             if prev is not None and part >= prev:
                 raise DomainError("entries must be strictly descending by part")
             prev = part
+        # past the frozen __setattr__ guard, as _trusted writes it
+        self.__dict__["_weight"] = _weigh(self.entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Partition":
@@ -118,12 +111,11 @@ class Partition:
         through here; any other input goes through Partition(...).
         """
         p = object.__new__(cls)
-        # the instance dict, written directly: the one field __init__
-        # sets, without the frozen __setattr__ guard
+        # the instance dict, written directly: the field __init__ sets and
+        # the weight __post_init__ sums, without the frozen __setattr__ guard
         p.__dict__["entries"] = entries
+        p.__dict__["_weight"] = _weigh(entries)
         return p
-
-    _weight = _SummedOnFirstRead()
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -152,12 +144,6 @@ class Partition:
     def weight(self) -> int:
         """Sum of all parts with multiplicity (the 'n' this partitions)."""
         return self._weight
-
-    def multiplicity(self, part: int) -> int:
-        for p, mult in self.entries:
-            if p == part:
-                return mult
-        return 0
 
     def is_empty(self) -> bool:
         return not self.entries

@@ -10,6 +10,14 @@ def largest_part(p: Partition) -> int:
     return p.entries[0][0] if p.entries else 0
 
 
+def multiplicity(p: Partition, part: int) -> int:
+    """How many times part occurs in p, 0 when it does not."""
+    for q, mult in p.entries:
+        if q == part:
+            return mult
+    return 0
+
+
 def random_partition(rng: random.Random, max_weight: int = 40, max_part: int = 15) -> Partition:
     """A partition drawn part-by-part; weight bounded but otherwise unstructured."""
     parts = []

@@ -17,7 +17,7 @@ from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_part
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
 from parteq.partition import Partition
 
-from conftest import EMPTY, largest_part, random_d_free_partition
+from conftest import EMPTY, largest_part, multiplicity, random_d_free_partition
 
 LAMBDA_1 = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
 KAPPA_1 = Partition.parse("21 18 11 8 7^4 5 4^3 3^3 2^5 1")
@@ -315,12 +315,27 @@ def test_phi_bijective_on_small_grid():
                         assert forward == kappa
 
 
+TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
+
+
+def test_trace_holds_its_pieces_in_field_order():
+    for lam, kappa, params in [(LAMBDA_1, KAPPA_1, PARAMS_1), (LAMBDA_2, KAPPA_2, PARAMS_2)]:
+        for image, t, expected in [(*phi(lam, params), kappa), (*phi_inverse(kappa, params), lam)]:
+            assert type(t) is BijectionTrace
+            assert image == expected
+            assert type(t.pieces) is tuple and len(t.pieces) == len(TRACE_FIELDS)
+            for name, piece in zip(TRACE_FIELDS, t.pieces):
+                # Partition(piece) validates: each piece is canonical entries
+                assert getattr(t, name) == Partition._trusted(piece) == Partition(piece)
+            assert t.lam == lam and t.kappa == kappa
+
+
 def test_multiplicity_congruence_in_forward_trace():
     # parts up to min(m, k): kappa's multiplicity is delta's mod d
     for lam, params in [(LAMBDA_1, PARAMS_1), (LAMBDA_2, PARAMS_2)]:
         kappa, t = phi(lam, params)
         for i in range(1, min(params.m, params.k) + 1):
-            assert kappa.multiplicity(i) % params.d == t.delta.multiplicity(i) % params.d
+            assert multiplicity(kappa, i) % params.d == multiplicity(t.delta, i) % params.d
 
 
 # sha256 of every trace's to_json() line, newline-terminated: phi on each

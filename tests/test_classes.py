@@ -18,7 +18,7 @@ from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
 
-from conftest import EMPTY, largest_part
+from conftest import EMPTY, largest_part, multiplicity
 
 
 def partition_count_recurrence(n: int) -> int:
@@ -300,7 +300,7 @@ def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
             if part > m * d and part % d != 0:
                 return False
         return True
-    if p.multiplicity(k) < d:
+    if multiplicity(p, k) < d:
         return False
     if largest_part(p) > m * d:
         return False

@@ -3,10 +3,12 @@ import pickle
 
 import pytest
 
+from parteq.bijection import finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
+from parteq.classes import ClassParams, enumerate_partitions
 from parteq.errors import DomainError, ParseError
 from parteq.partition import Partition
 
-from conftest import EMPTY, largest_part
+from conftest import EMPTY, largest_part, multiplicity
 
 
 def test_weight_empty():
@@ -53,8 +55,8 @@ def test_add_merges_multiplicities():
 
 def test_parse_worked_example():
     p = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
-    assert p.multiplicity(15) == 2
-    assert p.multiplicity(7) == 4
+    assert multiplicity(p, 15) == 2
+    assert multiplicity(p, 7) == 4
     assert sum(mult for _, mult in p.entries) == 17
 
 
@@ -164,6 +166,35 @@ def test_weight_field_stays_out_of_repr_eq_and_hash():
             assert copied == original
             assert hash(copied) == hash(original)
             assert copied.weight() == original.weight()
+
+
+def test_weight_summed_when_built():
+    # every way a partition is built leaves its weight in the instance
+    # dict before anything reads it; the class holds no _weight to fall
+    # back on
+    assert "_weight" not in vars(Partition)
+    params = ClassParams(123, 7, 3, 4)
+    kappa, forward = phi(Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"), params)
+    lam, _ = phi_inverse(Partition.parse("21 18 11 8 7^4 5 4^3 3^3 2^5 1"), params)
+    built = [
+        Partition(((5, 2), (3, 1))),
+        Partition(),
+        Partition._trusted(((4, 1), (1, 3))),
+        Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"),
+        Partition.from_pairs([(2, 3), (7, 1), (2, 1)]),
+        Partition.from_parts([4, 2, 2, 1]),
+        Partition.parse("6 4^2 1").conjugate(),
+        Partition.parse("6 4^2 1") + Partition.parse("5 4 2"),
+        finite_glaisher_forward(Partition.parse("3^5 1^7"), 2, 4),
+        finite_glaisher_inverse(Partition.parse("8 6 3 2 1"), 2, 4),
+        kappa,
+        lam,
+        forward.mu_star,
+    ]
+    for n in range(13):
+        built.extend(enumerate_partitions(n))
+    for p in built:
+        assert vars(p)["_weight"] == sum(part * mult for part, mult in p.entries)
 
 
 @pytest.mark.parametrize("pairs", [[3], [(3, 1, 1)]], ids=["int", "triple"])
