@@ -3,8 +3,8 @@
 Output is deterministic: records are ordered by parameter tuple and carry
 no timestamps; timing is only included when --timing is passed. Exit
 statuses: 0 all checks passed, 1 a checked claim failed, 2 usage or parse
-error, 3 enumeration budget exceeded; an error's status is declared on its
-type in errors.py.
+error, 3 enumeration budget exceeded, 141 the reader closed stdout early;
+an error's status is declared on its type in errors.py.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -106,11 +107,19 @@ def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> Ver
     return report
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
+def _emit(records, fmt: str, out) -> None:
+    """Write an iterable of records as JSON lines, CSV or a table.
+
+    JSON writes each record as it arrives. CSV and the table collect them
+    first: the CSV header has an error column only when some record has
+    one, and a record can get one mid-sweep; the table sizes its columns
+    to every record.
+    """
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec) + "\n")
         return
+    records = list(records)
     # A record has an error key only when it has an error, and elapsed is
     # in all records or none, so the longest has every column, in order
     keys = list(max(records, key=len))
@@ -140,35 +149,38 @@ def cmd_verify(args) -> int:
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
     # every lower bound, so a bad one fails before any series is built
     ClassParams(ns[0], *kdms[0])
-    # the error of each n over the budget; the series stop at the last n
-    # within it. check_budget rejects a bad cap as DomainError, which
-    # is not caught, so that too fails before any series is built
-    over = {}
+    # p(n) never decreases, so the n within the budget are a prefix of the
+    # range: stop at the first n over it (a bad cap is a DomainError here)
+    status = EXIT_PASS
     top = 0
     for n in ns:
         try:
             check_budget(n, args.budget)
-        except BudgetExceeded as exc:
-            over[n] = f"BudgetExceeded: {exc}"
-        else:
-            top = n
+        except BudgetExceeded:
+            status = BudgetExceeded.exit_code
+            break
+        top = n
     series = {kdm: (lhs_series(*kdm, top), rhs_series(*kdm, top)) for kdm in kdms}
-    records = []
-    any_fail = False
-    for n in ns:
-        if n in over:
-            reports = [VerifyReport(params=ClassParams(n, *kdm), error=over[n], elapsed=0.0) for kdm in kdms]
-        else:
+
+    def records():
+        nonlocal status
+        for n in ns:
+            try:
+                check_budget(n, args.budget)
+            except BudgetExceeded as exc:
+                for kdm in kdms:
+                    report = VerifyReport(ClassParams(n, *kdm), error=f"BudgetExceeded: {exc}", elapsed=0.0)
+                    yield report.to_record(timing=args.timing)
+                continue
             members = list(enumerate_partitions(n))
-            reports = [verify_point(ClassParams(n, *kdm), members, *series[kdm]) for kdm in kdms]
-            any_fail = any_fail or not all(report.passed for report in reports)
-        records.extend(report.to_record(timing=args.timing) for report in reports)
-    _emit(records, args.format, sys.stdout)
-    if any_fail:
-        return EXIT_FAIL
-    if over:
-        return BudgetExceeded.exit_code
-    return EXIT_PASS
+            for kdm in kdms:
+                report = verify_point(ClassParams(n, *kdm), members, *series[kdm])
+                if not report.passed:
+                    status = EXIT_FAIL
+                yield report.to_record(timing=args.timing)
+
+    _emit(records(), args.format, sys.stdout)
+    return status
 
 
 def cmd_map(args) -> int:
@@ -273,10 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ParteqError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no verdict: 128 + SIGPIPE.
+        # stdout now points at devnull, so the last flush cannot fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 import csv
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from parteq.bijection import phi
 from parteq.classes import ClassParams, count_partitions, enumerate_A
+from parteq import cli
 from parteq.cli import main
 from parteq.errors import ParteqError
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series
@@ -184,6 +187,116 @@ def test_verify_rejects_huge_n_quickly():
     [line] = proc.stdout.splitlines()
     rec = json.loads(line)
     assert rec["n"] == 100000 and rec["error"].startswith("BudgetExceeded: ")
+
+
+SWEEP_FROM_0 = ["verify", "--k", "1", "--d", "2", "--m", "1", "--budget", "0", "--json", "--n"]
+
+
+class LineCount:
+    """A stdout that keeps only the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
+def test_verify_memory_is_flat_in_the_range(monkeypatch):
+    # every n is over a budget of 0, so each record is made and written
+    # alone; a sweep ten times as long must not hold more
+    def peak(hi):
+        sink = LineCount()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([*SWEEP_FROM_0, f"0..{hi}"])
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and sink.lines == hi + 1
+        return used
+
+    peak(1000)  # warm-up: imports, caches
+    assert peak(10000) - peak(1000) <= 256 * 1024
+
+
+def test_verify_writes_the_first_record_before_walking_the_range(monkeypatch):
+    class FirstWrite(Exception):
+        pass
+
+    class Refusing:
+        def write(self, text):
+            raise FirstWrite
+
+    checked = []
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", lambda n, cap: checked.append(n) or check_budget(n, cap))
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    with pytest.raises(FirstWrite):
+        main([*SWEEP_FROM_0, "0..200000"])
+    assert len(checked) <= 2
+
+
+def test_verify_closed_pipe_exits_141():
+    # the records fill far more than a pipe's buffer, so the writes after
+    # the reader has gone fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parteq.cli", *SWEEP_FROM_0, "0..100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert first["n"] == 0 and first["error"].startswith("BudgetExceeded: ")
+
+
+# a large output breaks on a write; a small one, still in the buffer,
+# breaks on main's flush
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_broken_pipe_exits_141_and_silences_stdout(monkeypatch, capsys, failing):
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)  # a pipe with a writer left must not hang the test
+
+    def broken(*args):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    class ClosedPipe:
+        def write(self, text):
+            pass
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    setattr(ClosedPipe, failing, broken)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main([*SWEEP_FROM_0, "0..5"]) == 141
+        # write_end now names devnull: the pipe has no writer left
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_failure_outranks_budget(monkeypatch, capsys):
+    # the failure is at n = 4, within the budget; n = 5..12 are over it
+    monkeypatch.setattr("parteq.cli.phi", lambda lam, params: (EMPTY, None))
+    code, out, _ = run(capsys, "verify", "--n", "4..12", "--k", "1", "--d", "2", "--m", "2", "--budget", "5", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0]["error"].startswith("NotInClassB: ")
+    assert records[-1]["error"].startswith("BudgetExceeded: ")
 
 
 def test_verify_bijection_error_is_per_point(monkeypatch, capsys):
