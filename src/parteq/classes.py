@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BudgetExceeded, DomainError, check_int
+from .errors import BudgetExceeded, DomainError, check_int, quote
 from .partition import Partition
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -37,7 +37,7 @@ def integer(text: str) -> int:
     whitespace, so '٣' or '1_0' would pass silently as 3 or 10.
     """
     if _INTEGER_RE.fullmatch(text) is None:
-        raise DomainError(f"expected an integer, got {text!r}")
+        raise DomainError(f"expected an integer, got {quote(text)}")
     try:
         return int(text)
     except ValueError:
@@ -66,7 +66,7 @@ class ClassParams:
         """Parse the comma-joined quadruple 'n,k,d,m'."""
         fields = text.split(",")
         if len(fields) != 4:
-            raise DomainError(f"expected 'n,k,d,m', got {text!r}")
+            raise DomainError(f"expected 'n,k,d,m', got {quote(text)}")
         return cls(*map(integer, fields))
 
 

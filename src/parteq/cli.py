@@ -29,7 +29,7 @@ from .classes import (
     is_in_B,
     integer,
 )
-from .errors import BudgetExceeded, DomainError, ParteqError, check_int
+from .errors import BudgetExceeded, DomainError, ParteqError, check_int, quote
 from .partition import Partition
 from .qseries import first_difference, lhs_series, rhs_series, solutionI_sides
 
@@ -239,7 +239,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as DomainError, like any other bad input."""
 
     def error(self, message):
+        # an unknown choice or a stray argument is echoed whole by argparse
+        if len(message) > 200:
+            message = f"{message[:100]}... ({len(message)} characters)"
         raise DomainError(message)
+
+
+def _integer_flag(text: str) -> int:
+    """integer() as an argparse type, in argparse's words but with a long value quoted short."""
+    try:
+        return integer(text)
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {quote(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", required=True)
     p_verify.add_argument("--d", required=True)
     p_verify.add_argument("--m", required=True)
-    p_verify.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=_integer_flag, default=DEFAULT_BUDGET)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p_verify.add_argument("--csv", dest="format", action="store_const", const="csv")
@@ -268,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--params", required=True, help="n,k,d,m")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--method", choices=["enumerate", "series"], default="enumerate")
-    p_count.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p_count.add_argument("--budget", type=_integer_flag, default=DEFAULT_BUDGET)
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="compare both sides of an identity coefficientwise")
-    p_series.add_argument("--k", type=integer, required=True)
-    p_series.add_argument("--d", type=integer, default=None)
-    p_series.add_argument("--m", type=integer, default=None)
-    p_series.add_argument("--N", type=integer, default=60)
+    p_series.add_argument("--k", type=_integer_flag, required=True)
+    p_series.add_argument("--d", type=_integer_flag, default=None)
+    p_series.add_argument("--m", type=_integer_flag, default=None)
+    p_series.add_argument("--N", type=_integer_flag, default=60)
     p_series.add_argument("--eq1", action="store_true", help="check the classical identity instead")
     p_series.set_defaults(func=cmd_series)
 

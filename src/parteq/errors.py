@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one parameter check.
+"""Exception types shared across the package, the one parameter check, and
+the one way a message quotes the input it rejects.
 
 Each type carries the exit status the `parteq` command returns for it:
 2 (usage) unless a type says otherwise, 1 where a checked claim failed,
@@ -37,6 +38,17 @@ def check_int(name: str, value, low: int | None = None) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
+def quote(text: str) -> str:
+    """repr(text), or for text over 40 characters the repr of its first 20 and its length.
+
+    A message that quotes a rejected token stays one short line however
+    long the token is.
+    """
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
 
 
 class UnsupportedModulus(DomainError):

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, ParseError, check_int
+from .errors import DomainError, ParseError, check_int, quote
 
 _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
@@ -170,7 +170,7 @@ class Partition:
         for token in text.split(" ") if text else ():
             match = _TOKEN_RE.fullmatch(token)
             if match is None:
-                raise ParseError(f"malformed token {token!r} at position {pos}", position=pos)
+                raise ParseError(f"malformed token {quote(token)} at position {pos}", position=pos)
             try:
                 part = int(match.group(1))
                 mult = int(match.group(2) or 1)

@@ -1,13 +1,12 @@
 """Exact truncated power series in q and the two generating-function identities.
 
 Everything here is integer arithmetic on coefficient tuples truncated at a
-fixed degree N. Denominator factors 1/(1 - q^e) are applied one at a time
-via the prefix recurrence c'_i = c_i + c'_{i-e}, which is a running sum
-over each residue class mod e: the sums run in itertools.accumulate, one
-call per class when e is small and one map(add) per block of e when e is
-large, so no Python loop runs per coefficient. A numerator factor
-(1 - q^e) is one map(sub) over the tail. No dense inversion of a large
-product is ever needed.
+fixed degree N. Each factor is one pass over the coefficients, in C: a
+numerator factor (1 - q^e) is one map(sub) over the tail, and a
+denominator factor 1/(1 - q^e) is the prefix recurrence c'_i = c_i +
+c'_{i-e} as one map(add) that reads the output it is extending. No Python
+loop runs per coefficient, and no dense inversion of a large product is
+ever needed.
 
 lhs_series / rhs_series build the two sides of the finite-bound identity;
 the coefficient of q^n on the left counts A(n,k,d,m) and on the right
@@ -23,7 +22,6 @@ classical identity behind the original Monthly problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add, sub
 
 from .errors import DegreeMismatch, DomainError, OutOfRange, check_int
@@ -77,26 +75,15 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def times_inverse_factor(self, e: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^e) = 1 + q^e + q^2e + ...
-
-        c'_i = c_i + c'_{i-e} is one running sum over each residue class
-        mod e. For e*e <= N there are few classes, each summed with one
-        accumulate over its extended slice; otherwise there are few blocks
-        of e, each added to the finished block before it.
-        """
+        """Multiply by 1/(1 - q^e): c'_i = c_i + c'_{i-e}, as one map over the tail."""
         check_int("e", e, 1)
         c = self.coefficients
-        N = len(c) - 1
-        if e * e <= N:
-            out = list(c)
-            for r in range(e):
-                out[r::e] = accumulate(c[r::e])
-        else:
-            block = c[:e]
-            out = list(block)
-            for i in range(e, N + 1, e):
-                block = list(map(add, c[i:i + e], block))
-                out += block
+        out = list(c[:e])
+        # map reads each out[i - e] after extend has appended it: extend
+        # appends a non-sequence iterable's items one at a time, and a list
+        # iterator sees items appended after it was made (CPython 3.6-3.13).
+        # Were that to change, the result would stop at 2e coefficients.
+        out.extend(map(add, c[e:], out))
         return TruncatedSeries(tuple(out))
 
 

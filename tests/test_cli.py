@@ -533,6 +533,14 @@ def test_integer_flag_message_says_integer(capsys, argv, flag):
     assert err == json.dumps({"error": "DomainError", "message": message}) + "\n"
 
 
+def test_integer_flag_quotes_a_long_value_by_prefix_and_length(capsys):
+    code, out, err = run(capsys, "series", "--k", "x" * 5000, "--d", "2", "--m", "2")
+    assert code == 2
+    assert out == ""
+    message = "argument --k: invalid integer value: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
+    assert err == json.dumps({"error": "DomainError", "message": message}) + "\n"
+
+
 # n = 11 and n = 12 have more partitions than this budget allows
 BUDGET_SWEEP = ["--n", "0..12", "--k", "1..2", "--d", "1..2", "--m", "2", "--budget", "50", "--json"]
 

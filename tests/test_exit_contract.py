@@ -5,7 +5,8 @@ that are negative, too long for int() to read from text, non-ASCII or
 written with underscores; reversed and open ranges; malformed
 partitions and params, and partitions outside their class. Whatever the
 input, main returns 0, 1, 2 or 3 and raises nothing, and a run that
-exits 2 writes nothing to stdout and one JSON line to stderr.
+exits 2 writes nothing to stdout and one JSON line to stderr. That line
+stays short however long the token it rejects.
 
 Ranges are a few values wide, n and N small and the budget low, so each
 call takes milliseconds. A huge integer appears only where it is
@@ -24,6 +25,8 @@ from parteq.cli import main
 
 # more digits than int() reads from text by default (4300)
 LONG = "9" * 5000
+# a non-integer of the same length, which no integer check reads as digits
+WORDY = "x" * 5000
 # past what a series can allocate, and settled by the budget check as an n
 BIG = "99999999999999999999"
 
@@ -31,17 +34,17 @@ LAMBDA_1 = "15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"
 KAPPA_1 = "21 18 11 8 7^4 5 4^3 3^3 2^5 1"
 
 SMALL = ["0", "1", "2", "3", "4"]
-BAD_INTEGERS = ["-1", "-12", LONG, "-" + LONG, BIG, "٣", "１０", "1_0", "x", ""]
+BAD_INTEGERS = ["-1", "-12", LONG, "-" + LONG, BIG, "٣", "１０", "1_0", "x", WORDY, ""]
 RANGES = ["0..3", "1..2", "2..4", "1..4"]
-BAD_RANGES = ["3..1", "4..-1", f"{LONG}..2", f"2..-{LONG}", f"{BIG}..3", "1..", "..3", "..", "-1..2", "1...3"]
+BAD_RANGES = ["3..1", "4..-1", f"{LONG}..2", f"2..-{LONG}", f"{BIG}..3", f"1..{WORDY}", "1..", "..3", "..", "-1..2", "1...3"]
 # members and non-members of the classes of PARAMS
 PARTITIONS = ["", "3", "4", "2 1", "2 1^2", "1^4", "5^2", LAMBDA_1, KAPPA_1]
-BAD_PARTITIONS = ["3 3", "2 3", "3^1", "0", "x", "٣", LONG, f"5^{LONG}", f"{LONG} 1"]
+BAD_PARTITIONS = ["3 3", "2 3", "3^1", "0", "x", "٣", LONG, f"5^{LONG}", f"{LONG} 1", WORDY, f"3 {WORDY}"]
 PARAMS = ["3,1,2,4", "4,1,2,1", "4,2,2,1", "4,1,2,2", "123,7,3,4", "3,1,1,2"]
-BAD_PARAMS = ["1,2,3", "1,2,3,4,5", "", "a,b,c,d", f"1,1,2,{LONG}"]
+BAD_PARAMS = ["1,2,3", "1,2,3,4,5", "", "a,b,c,d", f"1,1,2,{LONG}", f"1,1,2,{WORDY}", WORDY]
 # a budget that lets p(123) through would enumerate for hours
 BUDGETS = ["0", "50"]
-BAD_BUDGETS = ["-1", "x", "1_0", "٣", LONG]
+BAD_BUDGETS = ["-1", "x", "1_0", "٣", LONG, WORDY]
 
 
 def token(good, bad):
@@ -73,8 +76,8 @@ def command_lines(draw):
         argv += [draw(token(PARTITIONS, BAD_PARTITIONS)), "--params", draw(params)]
         argv += draw(st.sampled_from([[], ["--inverse"], ["--trace"], ["--inverse", "--trace"]]))
     elif command == "count":
-        argv += ["--params", draw(params), "--class", draw(token(["A", "B"], ["C"]))]
-        argv += draw(optional(st.just("--method"), token(["enumerate", "series"], ["x"])))
+        argv += ["--params", draw(params), "--class", draw(token(["A", "B"], ["C", WORDY]))]
+        argv += draw(optional(st.just("--method"), token(["enumerate", "series"], ["x", WORDY])))
         argv += draw(optional(st.just("--budget"), budget))
     else:
         argv += ["--k", draw(integer)]
@@ -97,15 +100,19 @@ def run(argv):
 
 @given(command_lines())
 @example(["map", LONG, "--params", "1,1,2,1"])
+@example(["map", WORDY, "--params", "1,1,2,1"])
+@example(["verify", "--n", "1", "--k", "1", "--d", "2", "--m", "1", "--budget", LONG])
+@example(["count", "--params", "3,1,2,1", "--class", "A", WORDY])
 @example(["map", "3", "--params", "3,1,2,4"])
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_keeps_the_exit_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3)
-    # an error leaves as one JSON line naming its type; a run without
-    # one writes nothing to stderr
+    # an error leaves as one short JSON line naming its type; a run
+    # without one writes nothing to stderr
     if err:
         assert err.endswith("\n") and err.count("\n") == 1
+        assert len(err.encode()) < 300
         assert set(json.loads(err)) == {"error", "message"}
     if code == 2:
         assert out == ""

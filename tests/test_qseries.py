@@ -198,13 +198,22 @@ def test_solutionI_sides_apply_docstring_factors_in_order(monkeypatch, k):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_factor_kernels_match_reference_loops(data):
-    # every e from 1 to N + 2 covers e*e <= N, e*e > N, e = N and e > N
+    # every e from 1 to N + 2: a factor shorter than, as long as and past the series
     N = data.draw(st.integers(min_value=0, max_value=80), label="N")
     coeff = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**80), max_value=2**80))
     s = TruncatedSeries(tuple(data.draw(st.lists(coeff, min_size=N + 1, max_size=N + 1), label="c")))
     for e in range(1, N + 3):
         assert s.times_factor(e) == times_factor_loop(s, e)
         assert s.times_inverse_factor(e) == times_inverse_factor_loop(s, e)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 31, 32, 33, 531, 1063, 1064])
+def test_factor_kernels_match_reference_loops_at_series_deep_degree(e):
+    # the degree the series-deep benchmark builds, past the hypothesis test's N <= 80
+    N = 1063
+    s = TruncatedSeries(tuple((-1) ** i * (i * i % 97 + 2**70 * (i % 3)) for i in range(N + 1)))
+    assert s.times_factor(e) == times_factor_loop(s, e)
+    assert s.times_inverse_factor(e) == times_inverse_factor_loop(s, e)
 
 
 def test_grid_series_match_reference_loops(monkeypatch):

@@ -1,0 +1,64 @@
+"""The refined claim: A and B agree not only in size but weight by weight.
+
+φ sends o(λ), the parts of λ not divisible by d, through the finite
+Glaisher map to δ, and the rest of λ through conjugation; so |o(λ)| is
+the weight of δ in κ = φ(λ). δ's weight can be read off any κ ∈ B from
+the definition of B alone, with c = min(m, k):
+
+    δ(κ) = Σ_{part ≤ c} part·(mult mod d) + Σ_{c < part ≤ md} part·mult.
+
+Then for every a, three counts agree:
+
+    #{λ ∈ A : |o(λ)| = a} = #{κ ∈ B : δ(κ) = a}
+        = [q^{n-a}] q^{dk}/(q^d;q^d)_k · [q^a] (q^d;q^d)_m/(q;q)_{md}.
+
+The first factor is the conjugation step and the second the finite
+Glaisher identity. Checking lhs = rhs would miss a fault that both sides
+share; these factored products are checked against enumeration instead.
+"""
+
+from collections import Counter
+
+from parteq.bijection import phi
+from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
+from parteq.qseries import _side
+
+N = 18
+GRID_KDM = [(k, d, m) for k in range(1, 7) for d in range(2, 5) for m in range(1, 9)]
+
+
+def d_free_weight(entries, d):
+    """|o(λ)|: the weight of the parts not divisible by d."""
+    return sum(part * mult for part, mult in entries if part % d)
+
+
+def delta_weight(entries, k, d, m):
+    """δ(κ) read off κ's entries by the formula above, without φ."""
+    c = min(m, k)
+    return sum(
+        part * (mult % d) if part <= c else part * mult
+        for part, mult in entries
+        if part <= m * d
+    )
+
+
+def test_weight_distributions_agree_by_enumeration_bijection_and_series():
+    partitions = [list(enumerate_partitions(n)) for n in range(N + 1)]
+    points = members = 0
+    for k, d, m in GRID_KDM:
+        # both factors truncated at N hold every coefficient the n <= N need
+        conjugation = _side(N, d * k, (-1, d, d, k)).coefficients
+        glaisher = _side(N, 0, (1, d, d, m), (-1, 1, 1, d * m)).coefficients
+        for n in range(N + 1):
+            params = ClassParams(n, k, d, m)
+            a_members = [p for p in partitions[n] if is_in_A(p, params)]
+            by_o = Counter(d_free_weight(p.entries, d) for p in a_members)
+            by_delta = Counter(delta_weight(p.entries, k, d, m) for p in partitions[n] if is_in_B(p, params))
+            by_series = Counter({a: conjugation[n - a] * glaisher[a] for a in range(n + 1)})
+            assert by_o == by_delta == +by_series, params
+            for lam in a_members:
+                kappa, _ = phi(lam, params)
+                assert delta_weight(kappa.entries, k, d, m) == d_free_weight(lam.entries, d), (params, lam)
+            points += 1
+            members += len(a_members)
+    assert (points, members) == (2736, 20486)
