@@ -97,26 +97,6 @@ def glaisher_inverse(delta: Partition, d: int) -> Partition:
     return finite_glaisher_inverse(delta, d, max(1, delta.weight()))
 
 
-def bound_exponent(j: int, d: int, m: int) -> int:
-    """The unique L >= 0 with m < j*d^L <= m*d, for d >= 2 and 1 <= j <= m*d."""
-    check_int("j", j)
-    _check_modulus(d)
-    check_int("m", m, 1)
-    if not 1 <= j <= m * d:
-        raise DomainError(f"part {j} outside (0, {m * d}]")
-    return _bound_exponent(j, d, m)
-
-
-def _bound_exponent(j: int, d: int, m: int) -> int:
-    """bound_exponent without its checks, for callers that meet its preconditions."""
-    L = 0
-    v = j
-    while v <= m:
-        v *= d
-        L += 1
-    return L
-
-
 def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     """Finite-bound Glaisher map.
 
@@ -139,11 +119,11 @@ def _glaisher_forward(entries: tuple[tuple[int, int], ...], d: int, m: int) -> t
         if part % d == 0:
             raise DomainError(f"part {part} divisible by {d}")
         # a part not divisible by d is below m*d exactly when it is at most
-        # m*d; the same check and message as bound_exponent
+        # m*d, where L_j (the L with m < j*d^L <= m*d) exists
         if part > md:
             raise DomainError(f"part {part} outside (0, {md}]")
         # one base-d digit per power of d that keeps part*d^l <= m, so the
-        # loop stops at part*d^L with L = bound_exponent(part, d, m)
+        # loop stops at part*d^L_j, the one power with m < part*d^L_j <= m*d
         scaled = part
         while scaled <= m:
             mult, digit = divmod(mult, d)
@@ -178,15 +158,10 @@ def _glaisher_inverse(entries: tuple[tuple[int, int], ...], d: int, m: int) -> t
             raise DomainError(f"part {part} exceeds {md}")
         if part <= m and mult >= d:
             raise DomainError(f"part {part} <= {m} occurs {mult} >= {d} times")
-        j, scale, l = part, 1, 0
+        j, scale = part, 1
         while j % d == 0:
             j //= d
             scale *= d
-            l += 1
-        # Parts above m must sit exactly at the collection exponent L_j;
-        # this holds by uniqueness of L_j but is checked, not assumed.
-        if part > m and l != _bound_exponent(j, d, m):
-            raise InternalError(f"part {part} not of the form j*d^L_j")
         folded.append((j, mult * scale))
     return canonical(folded)
 

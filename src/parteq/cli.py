@@ -83,7 +83,7 @@ def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> Ver
     report = VerifyReport(params=params)
     start = time.perf_counter()
     members_a = [p for p in members if is_in_A(p, params)]
-    members_b = [p for p in members if is_in_B(p, params)]
+    members_b = {p for p in members if is_in_B(p, params)}
     report.count_a = len(members_a)
     report.count_b = len(members_b)
     report.coeff_lhs = lhs.coefficient(params.n)
@@ -98,7 +98,7 @@ def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> Ver
                 back, _ = phi_inverse(kappa, params)
                 if back != lam:
                     ok = False
-            if images != set(members_b):
+            if images != members_b:
                 ok = False
             report.bijection_ok = ok
         except ParteqError as exc:

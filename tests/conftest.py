@@ -1,5 +1,6 @@
 import random
 
+from parteq.classes import ClassParams
 from parteq.partition import Partition
 
 EMPTY = Partition()
@@ -36,3 +37,38 @@ def random_d_free_partition(rng: random.Random, d: int, max_part: int, max_parts
         return Partition()
     parts = [rng.choice(allowed) for _ in range(rng.randint(0, max_parts))]
     return Partition.from_parts(parts)
+
+
+def reference_is_in_A(p: Partition, params: ClassParams) -> bool:
+    """Membership in A(n,k,d,m), read off the definition through Partition's methods."""
+    if p.weight() != params.n:
+        return False
+    divisible = 0
+    for part, mult in p.entries:
+        if part % params.d == 0:
+            divisible += mult
+        elif part >= params.m * params.d:
+            return False
+    return divisible == params.k
+
+
+def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
+    """Membership in B(n,k,d,m), one condition of the definition at a time."""
+    if p.weight() != params.n:
+        return False
+    k, d, m = params.k, params.d, params.m
+    if m < k:
+        if largest_part(p) != k * d:
+            return False
+        for part, _ in p.entries:
+            if part > m * d and part % d != 0:
+                return False
+        return True
+    if multiplicity(p, k) < d:
+        return False
+    if largest_part(p) > m * d:
+        return False
+    for part, mult in p.entries:
+        if k < part <= m and mult >= d:
+            return False
+    return True

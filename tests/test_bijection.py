@@ -1,11 +1,11 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from parteq.bijection import (
     BijectionTrace,
-    bound_exponent,
     finite_glaisher_forward,
     finite_glaisher_inverse,
     glaisher_forward,
@@ -71,30 +71,40 @@ def test_glaisher_round_trip_random():
         assert glaisher_inverse(image, d) == o
 
 
-def test_bound_exponent_worked_example_values():
-    # d=3, m=4: the paper's first example
-    assert [bound_exponent(j, 3, 4) for j in (11, 8, 7, 5)] == [0, 0, 0, 0]
-    assert bound_exponent(2, 3, 4) == 1
-    assert bound_exponent(1, 3, 4) == 2
-    # d=3, m=7: the second example
-    assert [bound_exponent(j, 3, 7) for j in (20, 17, 14)] == [0, 0, 0]
-    assert bound_exponent(7, 3, 7) == 1
-    assert bound_exponent(2, 3, 7) == 2
-    assert bound_exponent(1, 3, 7) == 2
+def reference_bound_exponent(j, d, m):
+    """L_j from its definition: the smallest L with j*d^L > m."""
+    return next(L for L in itertools.count() if j * d**L > m)
 
 
-def test_bound_exponent_defining_property():
-    for d in (2, 3, 4):
-        for m in range(1, 9):
+def test_forward_map_stops_at_the_bound_exponent():
+    # d=3, m=4 and d=3, m=7: the paper's two worked examples
+    assert [reference_bound_exponent(j, 3, 4) for j in (11, 8, 7, 5, 2, 1)] == [0, 0, 0, 0, 1, 2]
+    assert [reference_bound_exponent(j, 3, 7) for j in (20, 17, 14, 7, 2, 1)] == [0, 0, 0, 1, 2, 2]
+    for d in range(2, 6):
+        for m in range(1, 13):
             for j in range(1, m * d + 1):
-                L = bound_exponent(j, d, m)
+                if j % d == 0:
+                    continue
+                L = reference_bound_exponent(j, d, m)
                 assert m < j * d**L <= m * d
-
-
-def test_bound_exponent_rejects_modulus_1():
-    # with d = 1 the power j*d^L never grows past m
-    with pytest.raises(UnsupportedModulus):
-        bound_exponent(1, 1, 5)
+                # d^L copies of j carry past every digit onto j*d^L; d^(L+1)
+                # copies stop there too, as d copies, if the loop ends at L
+                top = j * d**L
+                assert finite_glaisher_forward(Partition(((j, d**L),)), d, m) == Partition(((top, 1),))
+                assert finite_glaisher_forward(Partition(((j, d ** (L + 1)),)), d, m) == Partition(((top, d),))
+    rng = random.Random(23)
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        m = rng.randint(1, 12)
+        free = [j for j in range(1, m * d) if j % d]
+        o = Partition.from_pairs((rng.choice(free), rng.randint(1, 10**6)) for _ in range(rng.randint(1, 6)))
+        for part, _ in finite_glaisher_forward(o, d, m).entries:
+            if part > m:
+                j, l = part, 0
+                while j % d == 0:
+                    j //= d
+                    l += 1
+                assert l == reference_bound_exponent(j, d, m), (o, d, m, part)
 
 
 def test_finite_glaisher_forward_worked_example_2():
@@ -257,13 +267,6 @@ def test_phi_inverse_self_check_lambda_membership(monkeypatch):
         phi_inverse(KAPPA_1, PARAMS_1)
 
 
-def test_glaisher_inverse_self_check_exponent(monkeypatch):
-    # 8 = 1 * 2^3 sits at L_1 = 3 for m = 4; any other L_j must raise
-    monkeypatch.setattr("parteq.bijection._bound_exponent", lambda j, d, m: 99)
-    with pytest.raises(InternalError, match="not of the form"):
-        finite_glaisher_inverse(Partition.parse("8"), 2, 4)
-
-
 def test_trace_decomposition_invariants():
     for lam, params in [(LAMBDA_1, PARAMS_1), (LAMBDA_2, PARAMS_2)]:
         kappa, t = phi(lam, params)
@@ -313,6 +316,27 @@ def test_phi_bijective_on_small_grid():
                         lam, _ = phi_inverse(kappa, params)
                         forward, _ = phi(lam, params)
                         assert forward == kappa
+
+
+def test_phi_stops_depending_on_m_once_m_reaches_n():
+    # A(n,k,d,m) is one set for every m >= n, and there phi is the 2018
+    # map: no multiplicity of o reaches its overflow part, so delta is the
+    # unbounded Glaisher image of o
+    members = 0
+    for n in range(1, 21):
+        partitions = list(enumerate_partitions(n))
+        for d in (2, 3, 4):
+            for k in range(1, n // d + 1):
+                at_n = ClassParams(n, k, d, n)
+                for lam in partitions:
+                    if not is_in_A(lam, at_n):
+                        continue
+                    kappa, trace = phi(lam, at_n)
+                    assert trace.delta == glaisher_forward(trace.o, d), (lam, k, d)
+                    for m in (n + 1, 2 * n):
+                        assert phi(lam, ClassParams(n, k, d, m))[0] == kappa, (lam, k, d, m)
+                    members += 1
+    assert members == 5230
 
 
 TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")

@@ -2,7 +2,7 @@ import enum
 
 import pytest
 
-from parteq.bijection import bound_exponent, finite_glaisher_forward, finite_glaisher_inverse
+from parteq.bijection import finite_glaisher_forward, finite_glaisher_inverse
 from parteq.classes import (
     ClassParams,
     check_budget,
@@ -18,7 +18,7 @@ from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
 
-from conftest import EMPTY, largest_part, multiplicity
+from conftest import EMPTY, reference_is_in_A, reference_is_in_B
 
 
 def partition_count_recurrence(n: int) -> int:
@@ -105,9 +105,6 @@ ENTRY_POINTS = {
     "finite_glaisher_forward.m": (lambda v: finite_glaisher_forward(Partition.parse("1^3"), 2, v), 1),
     "finite_glaisher_inverse.d": (lambda v: finite_glaisher_inverse(Partition.parse("4"), v, 4), 2),
     "finite_glaisher_inverse.m": (lambda v: finite_glaisher_inverse(Partition.parse("2"), 2, v), 1),
-    "bound_exponent.d": (lambda v: bound_exponent(1, v, 2), 2),
-    "bound_exponent.m": (lambda v: bound_exponent(1, 2, v), 1),
-    "bound_exponent.j": (lambda v: bound_exponent(v, 2, 2), 1),
     "check_budget.cap": (lambda v: check_budget(10, v), 0),
     # the generator checks n on its first next
     "enumerate_partitions.n": (lambda v: next(enumerate_partitions(v)), 0),
@@ -273,41 +270,6 @@ def test_is_in_B_m_ge_k_branch():
     assert not is_in_B(Partition.parse("3^3 2^3"), ClassParams(15, 2, 3, 3))  # part 3 in (k, m] occurs >= d
     assert not is_in_B(Partition.parse("2^2 1^7"), ClassParams(11, 2, 3, 3))  # part 2 occurs < 3 times
     assert not is_in_B(Partition.parse("11 1^2"), ClassParams(13, 1, 2, 5))   # part exceeds m*d
-
-
-def reference_is_in_A(p: Partition, params: ClassParams) -> bool:
-    """Membership in A(n,k,d,m), read off the definition through Partition's methods."""
-    if p.weight() != params.n:
-        return False
-    divisible = 0
-    for part, mult in p.entries:
-        if part % params.d == 0:
-            divisible += mult
-        elif part >= params.m * params.d:
-            return False
-    return divisible == params.k
-
-
-def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
-    """Membership in B(n,k,d,m), one condition of the definition at a time."""
-    if p.weight() != params.n:
-        return False
-    k, d, m = params.k, params.d, params.m
-    if m < k:
-        if largest_part(p) != k * d:
-            return False
-        for part, _ in p.entries:
-            if part > m * d and part % d != 0:
-                return False
-        return True
-    if multiplicity(p, k) < d:
-        return False
-    if largest_part(p) > m * d:
-        return False
-    for part, mult in p.entries:
-        if k < part <= m and mult >= d:
-            return False
-    return True
 
 
 def test_predicates_match_reference():

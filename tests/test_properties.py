@@ -21,7 +21,8 @@ from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
 from parteq.errors import ParseError
 from parteq.partition import Partition, _conjugate, canonical
 
-from conftest import largest_part
+from conftest import largest_part, reference_is_in_A, reference_is_in_B
+from test_refined_claim import d_free_weight, delta_weight
 
 TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
 
@@ -77,6 +78,93 @@ def d_free_partitions(draw, d, max_part):
         )
     )
     return Partition.from_pairs(pairs.items())
+
+
+HUGE = 10**18
+
+
+def spread(low, high):
+    """Integers in [low, high], as likely to be 2^60 above low as 2 above it.
+
+    A size b is drawn first and then an offset in [2^(b-1), 2^b]: a plain
+    st.integers(low, high) leans to offsets of a few digits.
+    """
+    span = high - low
+    return st.integers(0, span.bit_length()).flatmap(
+        lambda b: st.integers(min(span, 2**b >> 1), min(span, 2**b)).map(lambda x: low + x)
+    )
+
+
+def pairs_of(parts, mults, max_size=5):
+    """Up to max_size (part, multiplicity) pairs, no two with the same part."""
+    return st.dictionaries(parts, mults, max_size=max_size).map(dict.items)
+
+
+@st.composite
+def huge_members(draw):
+    """("A" or "B", a member, its params), built from the class definitions, never from phi.
+
+    Parts, multiplicities, k and m reach about 10^18, with up to 20
+    distinct parts; the three starts are A and the two cases of B.
+    """
+    d = draw(st.integers(2, 7))
+    mults = spread(1, HUGE)
+    start = draw(st.sampled_from(["A", "B, m < k", "B, m >= k"]))
+    if start == "A":
+        m = draw(spread(1, HUGE))
+        # d-free parts below m*d: q*d + r with q < m and 0 < r < d
+        free = st.builds(lambda q, r: q * d + r, spread(0, m - 1), st.integers(1, d - 1))
+        divisible = draw(st.dictionaries(spread(1, HUGE).map(lambda t: t * d), mults, min_size=1, max_size=10))
+        pairs = [*draw(pairs_of(free, mults, 10)), *divisible.items()]
+        k = sum(divisible.values())
+    elif start == "B, m < k":
+        k = draw(spread(2, HUGE))
+        m = draw(spread(1, k - 1))
+        # the largest part is k*d; the parts above m*d are multiples of d
+        pairs = [(k * d, draw(mults)), *draw(pairs_of(spread(1, m * d), mults))]
+        if m + 1 < k:
+            pairs += draw(pairs_of(spread(m + 1, k - 1).map(lambda t: t * d), mults))
+    else:
+        k = draw(spread(1, HUGE))
+        m = draw(spread(k, HUGE))
+        # k at least d times, each part in (k, m] fewer than d times, no part above m*d
+        pairs = [(k, draw(spread(d, HUGE))), *draw(pairs_of(spread(m + 1, m * d), mults))]
+        if k > 1:
+            pairs += draw(pairs_of(spread(1, k - 1), mults))
+        if k < m:
+            pairs += draw(pairs_of(spread(k + 1, m), st.integers(1, d - 1)))
+    member = Partition.from_pairs(pairs)
+    return start[0], member, ClassParams(member.weight(), k, d, m)
+
+
+LAMBDA_HUGE = Partition.parse("600000000000000000^2 2999999999999^5 9^1000000000 7^123456789 1^1000000000000000")
+KAPPA_HUGE = Partition.parse("5000000000000015^2 4999999^1000000000000 50^3 3^499999999999999990 2^2")
+
+
+# the members of CI's installed-script step: an A member whose image is in
+# B's m >= k case, and a B member in the m < k case
+@example(("A", LAMBDA_HUGE, ClassParams(LAMBDA_HUGE.weight(), 1000000002, 3, 10**12)))
+@example(("B", KAPPA_HUGE, ClassParams(KAPPA_HUGE.weight(), 1000000000000003, 5, 10**6)))
+@given(huge_members())
+@settings(max_examples=300, deadline=None)
+def test_phi_on_astronomical_members(start):
+    cls, member, params = start
+    k, d, m = params.k, params.d, params.m
+    if cls == "A":
+        assert reference_is_in_A(member, params)
+        lam = member
+        kappa = phi(lam, params)[0]
+        assert phi_inverse(kappa, params)[0] == lam
+    else:
+        assert reference_is_in_B(member, params)
+        kappa = member
+        lam = phi_inverse(kappa, params)[0]
+        assert phi(lam, params)[0] == kappa
+    for image in (lam, kappa):
+        assert_canonical(image)
+        assert image.weight() == params.n
+    assert reference_is_in_A(lam, params) and reference_is_in_B(kappa, params)
+    assert d_free_weight(lam.entries, d) == delta_weight(kappa.entries, k, d, m)
 
 
 @given(partitions())

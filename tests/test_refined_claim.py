@@ -23,7 +23,6 @@ from parteq.bijection import phi
 from parteq.classes import ClassParams, enumerate_partitions, is_in_A, is_in_B
 from parteq.qseries import _side
 
-N = 18
 GRID_KDM = [(k, d, m) for k in range(1, 7) for d in range(2, 5) for m in range(1, 9)]
 
 
@@ -42,7 +41,11 @@ def delta_weight(entries, k, d, m):
     )
 
 
-def test_weight_distributions_agree_by_enumeration_bijection_and_series():
+def weight_distributions(N):
+    """Assert the refined claim at each grid (k,d,m) and each n <= N.
+
+    Returns (points, A members). Tier-1 runs N = 18 and CI N = 28.
+    """
     partitions = [list(enumerate_partitions(n)) for n in range(N + 1)]
     points = members = 0
     for k, d, m in GRID_KDM:
@@ -61,4 +64,8 @@ def test_weight_distributions_agree_by_enumeration_bijection_and_series():
                 assert delta_weight(kappa.entries, k, d, m) == d_free_weight(lam.entries, d), (params, lam)
             points += 1
             members += len(a_members)
-    assert (points, members) == (2736, 20486)
+    return points, members
+
+
+def test_weight_distributions_agree_by_enumeration_bijection_and_series():
+    assert weight_distributions(18) == (2736, 20486)
