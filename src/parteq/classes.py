@@ -10,11 +10,20 @@ B(n,k,d,m), branching on m vs k:
           part i with k < i <= m occurs fewer than d times (parts in
           (m, m*d] unrestricted in multiplicity).
 
+A partition lies in at most one A(n,k,d,m) and at most one B(n,k,d,m)
+for given d and m. For A, k is its number of parts divisible by d. For B,
+k is its largest part over d when that part is above m*d, and otherwise
+its largest part <= m that occurs at least d times. k_of_A and k_of_B
+read that k off a partition, is_in_A and is_in_B compare it with the k
+asked for, and members_by_k sorts the partitions of one n into every k's
+members in one pass.
+
 Enumeration is by brute force over all partitions of n in descending
 lexicographic order of part sequences, generated directly as
-(part, multiplicity) entries. The enumerators take no cap; check_budget
-tells a caller whether the partitions of n fit one.
-The independent count comes from the q-series module.
+(part, multiplicity) entries; classification then keeps the members.
+The enumerators take no cap; check_budget tells a caller whether the
+partitions of n fit one. The independent count comes from the q-series
+module.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError, check_int, quote
 from .partition import Partition
@@ -142,51 +151,70 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             entries.append((rest, 1))
 
 
-def is_in_A(p: Partition, params: ClassParams) -> bool:
-    """Membership in A(n,k,d,m)."""
-    if p._weight != params.n:
-        return False
-    d = params.d
-    md = params.m * d
+def k_of_A(p: Partition, d: int, m: int) -> int | None:
+    """The k with p in A(|p|,k,d,m), or None when there is none.
+
+    k counts the parts divisible by d; every other part must be below m*d.
+    """
+    md = m * d
     divisible = 0
     for part, mult in p.entries:
         if part % d == 0:
             divisible += mult
         elif part >= md:
-            return False
-    return divisible == params.k
+            return None
+    return divisible or None
 
 
-def is_in_B(p: Partition, params: ClassParams) -> bool:
-    """Membership in B(n,k,d,m); the partition shows which case applies.
+def k_of_B(p: Partition, d: int, m: int) -> int | None:
+    """The k with p in B(|p|,k,d,m), or None when there is none.
 
-    A largest part above m*d (possible only when m < k) must equal k*d,
-    and every part above m*d must be divisible by d. Otherwise k must be
-    the largest part <= m that occurs at least d times; for m >= n that is
+    A largest part above m*d (the case m < k) must be k*d, and every part
+    above m*d must be divisible by d. Otherwise (the case m >= k) k is the
+    largest part <= m that occurs at least d times; for m >= n that is
     Smoot and Yang's "the largest part repeated at least d times is k".
-    One walk down the descending entries, which stops at the first part
-    below k at the latest.
     """
-    if p._weight != params.n:
-        return False
-    k, d, m = params.k, params.d, params.m
     md = m * d
     entries = p.entries
     if entries and entries[0][0] > md:
-        if entries[0][0] != k * d:
-            return False
         for part, _ in entries:
             if part <= md:
-                return True
+                break
             if part % d:
-                return False
-        return True
+                return None
+        return entries[0][0] // d
     for part, mult in entries:
-        if part < k:
-            return False
         if part <= m and mult >= d:
-            return part == k
-    return False
+            return part
+    return None
+
+
+def is_in_A(p: Partition, params: ClassParams) -> bool:
+    """Membership in A(n,k,d,m)."""
+    return p._weight == params.n and k_of_A(p, params.d, params.m) == params.k
+
+
+def is_in_B(p: Partition, params: ClassParams) -> bool:
+    """Membership in B(n,k,d,m)."""
+    return p._weight == params.n and k_of_B(p, params.d, params.m) == params.k
+
+
+def members_by_k(partitions: Iterable[Partition], d: int, m: int) -> tuple[dict, dict]:
+    """Every k's members of A and of B among partitions of one n, in one pass.
+
+    Returns two dicts, k -> members of A(n,k,d,m) and k -> members of
+    B(n,k,d,m), each list in input order. The weights are not read: the
+    caller passes partitions of n only.
+    """
+    a, b = {}, {}
+    for p in partitions:
+        k = k_of_A(p, d, m)
+        if k is not None:
+            a.setdefault(k, []).append(p)
+        k = k_of_B(p, d, m)
+        if k is not None:
+            b.setdefault(k, []).append(p)
+    return a, b
 
 
 def enumerate_A(params: ClassParams) -> Iterator[Partition]:

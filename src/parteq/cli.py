@@ -25,9 +25,8 @@ from .classes import (
     enumerate_A,
     enumerate_B,
     enumerate_partitions,
-    is_in_A,
-    is_in_B,
     integer,
+    members_by_k,
 )
 from .errors import BudgetExceeded, DomainError, ParteqError, check_int, quote
 from .partition import Partition
@@ -74,20 +73,18 @@ class VerifyReport:
         return rec
 
 
-def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> VerifyReport:
+def verify_point(params: ClassParams, members_a: list[Partition], members_b: list[Partition], lhs, rhs) -> VerifyReport:
     """Check one grid point: counts, series coefficients, bijection round trip.
 
-    members are all partitions of params.n; lhs and rhs are the series
-    of (k, d, m) truncated at degree >= params.n.
+    members_a and members_b are the point's members of A and of B, split
+    from the partitions of params.n by members_by_k; lhs and rhs are the
+    series of (k, d, m) truncated at degree >= params.n. The caller times
+    the point.
     """
-    report = VerifyReport(params=params)
-    start = time.perf_counter()
-    members_a = [p for p in members if is_in_A(p, params)]
-    members_b = {p for p in members if is_in_B(p, params)}
-    report.count_a = len(members_a)
-    report.count_b = len(members_b)
-    report.coeff_lhs = lhs.coefficient(params.n)
-    report.coeff_rhs = rhs.coefficient(params.n)
+    report = VerifyReport(
+        params=params, count_a=len(members_a), count_b=len(members_b),
+        coeff_lhs=lhs.coefficient(params.n), coeff_rhs=rhs.coefficient(params.n),
+    )
     if params.d >= 2:
         try:
             images = set()
@@ -98,12 +95,11 @@ def verify_point(params: ClassParams, members: list[Partition], lhs, rhs) -> Ver
                 back, _ = phi_inverse(kappa, params)
                 if back != lam:
                     ok = False
-            if images != members_b:
+            if images != set(members_b):
                 ok = False
             report.bijection_ok = ok
         except ParteqError as exc:
             report.error = f"{type(exc).__name__}: {exc}"
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -172,9 +168,18 @@ def cmd_verify(args) -> int:
                     report = VerifyReport(ClassParams(n, *kdm), error=f"BudgetExceeded: {exc}", elapsed=0.0)
                     yield report.to_record(timing=args.timing)
                 continue
-            members = list(enumerate_partitions(n))
-            for kdm in kdms:
-                report = verify_point(ClassParams(n, *kdm), members, *series[kdm])
+            partitions = list(enumerate_partitions(n))
+            # one split per (d, m) serves every k; it is made when a point
+            # first needs it and counts in that point's elapsed
+            splits = {}
+            for k, d, m in kdms:
+                params = ClassParams(n, k, d, m)
+                start = time.perf_counter()
+                if (d, m) not in splits:
+                    splits[d, m] = members_by_k(partitions, d, m)
+                a, b = splits[d, m]
+                report = verify_point(params, a.get(k, []), b.get(k, []), *series[k, d, m])
+                report.elapsed = time.perf_counter() - start
                 if not report.passed:
                     status = EXIT_FAIL
                 yield report.to_record(timing=args.timing)

@@ -13,6 +13,9 @@ from parteq.classes import (
     integer,
     is_in_A,
     is_in_B,
+    k_of_A,
+    k_of_B,
+    members_by_k,
 )
 from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import Partition
@@ -284,6 +287,36 @@ def test_predicates_match_reference():
                     for p in candidates:
                         assert is_in_A(p, params) == reference_is_in_A(p, params), (p.render(), params)
                         assert is_in_B(p, params) == reference_is_in_B(p, params), (p.render(), params)
+
+
+def test_k_of_matches_reference():
+    # k_of_A/k_of_B name the one k whose class holds p: for k 1..7 the
+    # reference agrees exactly at that k, and it agrees at a larger k too;
+    # d = 1, both B branches and m > n all lie in the range
+    for n in range(17):
+        for p in enumerate_partitions(n):
+            for d in range(1, 6):
+                for m in range(1, 10):
+                    for k_of, reference in ((k_of_A, reference_is_in_A), (k_of_B, reference_is_in_B)):
+                        found = k_of(p, d, m)
+                        for k in range(1, 8):
+                            assert (found == k) == reference(p, ClassParams(n, k, d, m)), (p.render(), k, d, m)
+                        if found is not None:
+                            assert reference(p, ClassParams(n, found, d, m)), (p.render(), found, d, m)
+
+
+def test_members_by_k_matches_reference_filter():
+    # every verify-grid point with n <= 14: the same members, in the same
+    # order, as filtering the partitions of n through the references
+    for n in range(15):
+        partitions = list(enumerate_partitions(n))
+        for d in range(1, 5):
+            for m in range(1, 9):
+                a, b = members_by_k(partitions, d, m)
+                for k in range(1, 7):
+                    params = ClassParams(n, k, d, m)
+                    assert a.get(k, []) == [p for p in partitions if reference_is_in_A(p, params)], params
+                    assert b.get(k, []) == [p for p in partitions if reference_is_in_B(p, params)], params
 
 
 def test_monthly_lists():

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from parteq.bijection import phi
-from parteq.classes import ClassParams, count_partitions, enumerate_A
+from parteq.classes import ClassParams, count_partitions, enumerate_A, members_by_k
 from parteq import cli
 from parteq.cli import main
 from parteq.errors import ParteqError
@@ -173,6 +174,23 @@ def test_verify_counts_each_n_once(capsys):
                      "--budget", "1000", "--json")
     assert code == 3
     assert count_partitions.cache_info().misses <= 65
+
+
+def test_verify_splits_each_n_d_m_once(monkeypatch, capsys):
+    # one members_by_k pass per (n, d, m) within the budget serves every k;
+    # p(9) = 30 and p(10) = 42, so n = 10 and 11 are over the budget
+    calls = Counter()
+
+    def counting(partitions, d, m):
+        calls[partitions[0].weight(), d, m] += 1
+        return members_by_k(partitions, d, m)
+
+    monkeypatch.setattr(cli, "members_by_k", counting)
+    code, out, _ = run(capsys, "verify", "--n", "0..11", "--k", "1..3", "--d", "1..2", "--m", "1..3",
+                       "--budget", "30", "--json")
+    assert code == 3
+    assert len(out.splitlines()) == 12 * 3 * 2 * 3
+    assert calls == Counter({(n, d, m): 1 for n in range(10) for d in (1, 2) for m in (1, 2, 3)})
 
 
 def test_verify_rejects_huge_n_quickly():
