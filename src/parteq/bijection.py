@@ -213,8 +213,7 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     delta = _glaisher_forward(o, d, m)
     kappa = Partition._trusted(canonical(epsilon + mu_star_0 + delta))
 
-    # kappa's weight was summed from its own entries when it was built
-    if kappa._weight != params.n or not is_in_B(kappa, params):
+    if not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
 
     trace = BijectionTrace((lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries), params, "forward")
@@ -260,14 +259,14 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     # epsilon's parts exceed m*d and d divides them (membership), so each
     # rescaled part p // d exceeds m >= cut >= every mu_star_0 part
     mu_star = tuple(unscaled_pairs) + mu_star_0
-    if dict(mu_star).get(k, 0) < d:
-        raise InternalError("reconstructed conjugate lacks d copies of the distinguished part")
-
     mu = _conjugate(mu_star)
     o = _glaisher_inverse(delta, d, m)
     lam = Partition._trusted(canonical(mu + o))
 
-    if lam._weight != params.n or not is_in_A(lam, params):
+    # is_in_A settles that mu_star holds d copies of k: d divides all its
+    # multiplicities (mult - mult % d, mult * d), so mu has max(mu_star) parts,
+    # all divisible by d, o has none, and lam is in A only if max(mu_star) = k.
+    if not is_in_A(lam, params):
         raise InternalError(f"phi_inverse produced {lam.render()!r} outside A")
 
     trace = BijectionTrace((lam.entries, mu, o, mu_star, mu_star_0, epsilon, delta, kappa.entries), params, "inverse")

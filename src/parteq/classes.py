@@ -14,9 +14,9 @@ A partition lies in at most one A(n,k,d,m) and at most one B(n,k,d,m)
 for given d and m. For A, k is its number of parts divisible by d. For B,
 k is its largest part over d when that part is above m*d, and otherwise
 its largest part <= m that occurs at least d times. k_of_A and k_of_B
-read that k off a partition, is_in_A and is_in_B compare it with the k
-asked for, and members_by_k sorts the partitions of one n into every k's
-members in one pass.
+read that k off a partition, and members_by_k sorts the partitions of one
+n by it in one pass. is_in_A and is_in_B, which also check the weight, are
+for partitions that do not come from a walk over the partitions of n.
 
 Enumeration is by brute force over all partitions of n in descending
 lexicographic order of part sequences, generated directly as
@@ -220,13 +220,13 @@ def members_by_k(partitions: Iterable[Partition], d: int, m: int) -> tuple[dict,
 def enumerate_A(params: ClassParams) -> Iterator[Partition]:
     """Members of A(n,k,d,m) in descending lex order."""
     for p in enumerate_partitions(params.n):
-        if is_in_A(p, params):
+        if k_of_A(p, params.d, params.m) == params.k:
             yield p
 
 
 def enumerate_B(params: ClassParams) -> Iterator[Partition]:
     """Members of B(n,k,d,m) in descending lex order."""
     for p in enumerate_partitions(params.n):
-        if is_in_B(p, params):
+        if k_of_B(p, params.d, params.m) == params.k:
             yield p
 

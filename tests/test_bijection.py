@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,7 @@ from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_part
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
 from parteq.partition import Partition
 
-from conftest import EMPTY, largest_part, multiplicity, random_d_free_partition
+from conftest import EMPTY, largest_part, multiplicity, random_d_free_partition, reference_is_in_B
 
 LAMBDA_1 = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
 KAPPA_1 = Partition.parse("21 18 11 8 7^4 5 4^3 3^3 2^5 1")
@@ -233,9 +234,8 @@ def test_phi_self_check_mu_star_multiplicity(monkeypatch):
 
 
 def test_phi_self_check_kappa_weight(monkeypatch):
-    # membership waved through, so only the explicit weight test can catch
-    # the missing Glaisher image
-    monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: True)
+    # without its Glaisher image kappa is light, and the membership check
+    # of kappa, which compares the weight first, catches it
     monkeypatch.setattr("parteq.bijection._glaisher_forward", lambda entries, d, m: ())
     with pytest.raises(InternalError, match="outside B"):
         phi(LAMBDA_1, PARAMS_1)
@@ -248,14 +248,15 @@ def test_phi_self_check_kappa_membership(monkeypatch):
 
 
 def test_phi_inverse_self_check_copies_of_k(monkeypatch):
-    # "7" has no part 2, so mu_star gets no copies of k = 2
+    # "7" has no part 2, so mu_star gets no copies of k = 2; lam = "7" then
+    # has no part divisible by 2, and the membership check of lam catches it
     monkeypatch.setattr("parteq.bijection.is_in_B", lambda p, params: True)
-    with pytest.raises(InternalError, match="lacks d copies"):
+    with pytest.raises(InternalError, match="outside A"):
         phi_inverse(Partition.parse("7"), ClassParams(7, 2, 2, 4))
 
 
 def test_phi_inverse_self_check_lambda_weight(monkeypatch):
-    monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: True)
+    # without o, lam is light, and the membership check of lam catches it
     monkeypatch.setattr("parteq.bijection._glaisher_inverse", lambda entries, d, m: ())
     with pytest.raises(InternalError, match="outside A"):
         phi_inverse(KAPPA_1, PARAMS_1)
@@ -265,6 +266,38 @@ def test_phi_inverse_self_check_lambda_membership(monkeypatch):
     monkeypatch.setattr("parteq.bijection.is_in_A", lambda p, params: False)
     with pytest.raises(InternalError, match="outside A"):
         phi_inverse(KAPPA_1, PARAMS_1)
+
+
+def inverse_without_input_check(N):
+    """Run phi_inverse on every partition of n <= N with its input check waved through.
+
+    At every grid point (k <= 6, d 2..4, m <= 8), phi_inverse must return
+    exactly on the members of B, by the reference definition, and raise on
+    every other partition: its final membership check of lam catches all
+    that its input check would have. Each returned trace's mu_star holds k
+    at least d times, which phi_inverse does not check by itself. Returns
+    the number of calls that returned. Tier-1 runs N = 12 and CI N = 18.
+    """
+    returned = 0
+    with mock.patch("parteq.bijection.is_in_B", lambda p, params: True):
+        for n in range(N + 1):
+            partitions = list(enumerate_partitions(n))
+            for k, d, m in itertools.product(range(1, 7), range(2, 5), range(1, 9)):
+                params = ClassParams(n, k, d, m)
+                for kappa in partitions:
+                    try:
+                        _, t = phi_inverse(kappa, params)
+                    except (InternalError, DomainError):
+                        assert not reference_is_in_B(kappa, params), (kappa.render(), params)
+                        continue
+                    assert reference_is_in_B(kappa, params), (kappa.render(), params)
+                    assert dict(t.pieces[3]).get(k, 0) >= d, (kappa.render(), params)
+                    returned += 1
+    return returned
+
+
+def test_phi_inverse_returns_exactly_on_B_without_its_input_check():
+    assert inverse_without_input_check(12) == 3058
 
 
 def test_trace_decomposition_invariants():

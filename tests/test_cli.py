@@ -423,7 +423,8 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):
-    # an empty Glaisher image makes phi's own weight check fail
+    # an empty Glaisher image leaves kappa light, so phi's membership
+    # check of kappa fails
     monkeypatch.setattr("parteq.bijection._glaisher_forward", lambda entries, d, m: ())
     code, out, err = run(capsys, "map", LAMBDA_1, "--params", "123,7,3,4")
     assert code == 1
