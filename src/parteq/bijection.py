@@ -28,19 +28,12 @@ from .errors import (
 from .partition import Partition, _conjugate, _render, canonical
 
 
-def _built_when_read(i: int) -> property:
-    """A trace field: the Partition of piece i, built on each read."""
-    return property(lambda self: Partition._trusted(self.pieces[i]))
-
-
 class BijectionTrace:
     """Every intermediate subpartition of one application of the bijection.
 
     pieces is the one tuple of the eight entry tuples phi and phi_inverse
     built, in field order: lam, mu, o, mu_star, mu_star_0, epsilon (stored
-    rescaled: parts are d*i), delta, kappa. Each field is a Partition built
-    from its piece when read, since most traces are never read, and
-    to_json renders the pieces themselves.
+    rescaled: parts are d*i), delta, kappa. to_json renders the pieces.
     """
 
     __slots__ = ("pieces", "params", "direction")
@@ -49,15 +42,6 @@ class BijectionTrace:
         self.pieces = pieces
         self.params = params
         self.direction = direction  # "forward" | "inverse"
-
-    lam = _built_when_read(0)
-    mu = _built_when_read(1)
-    o = _built_when_read(2)
-    mu_star = _built_when_read(3)
-    mu_star_0 = _built_when_read(4)
-    epsilon = _built_when_read(5)
-    delta = _built_when_read(6)
-    kappa = _built_when_read(7)
 
     def to_json(self, indent: int | None = None) -> str:
         lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = self.pieces
@@ -79,22 +63,6 @@ def _check_modulus(d: int) -> None:
     # not check_int: a bad modulus raises its own type, UnsupportedModulus
     if type(d) is not int or d < 2:
         raise UnsupportedModulus(f"modulus must be an integer >= 2, got {d!r}")
-
-
-def glaisher_forward(o: Partition, d: int) -> Partition:
-    """Glaisher's map: base-d expand each multiplicity.
-
-    This is the finite-bound map with the bound at the weight: then
-    j*d^L_j > m >= j*N_j, so no multiplicity reaches its overflow part.
-    Input may contain no part divisible by d; output has every
-    multiplicity below d, same weight.
-    """
-    return finite_glaisher_forward(o, d, max(1, o.weight()))
-
-
-def glaisher_inverse(delta: Partition, d: int) -> Partition:
-    """Inverse of Glaisher's map: fold each part j*d^l back onto part j."""
-    return finite_glaisher_inverse(delta, d, max(1, delta.weight()))
 
 
 def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:

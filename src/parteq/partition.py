@@ -141,20 +141,9 @@ class Partition:
         """Build from a bag of parts, e.g. [4, 2, 2, 1]."""
         return cls.from_pairs((p, 1) for p in parts)
 
-    def weight(self) -> int:
-        """Sum of all parts with multiplicity (the 'n' this partitions)."""
-        return self._weight
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; see _conjugate."""
         return Partition._trusted(_conjugate(self.entries))
-
-    def __add__(self, other: "Partition") -> "Partition":
-        """Multiset union: multiplicities add pointwise."""
-        return Partition._trusted(canonical(self.entries + other.entries))
 
     def render(self) -> str:
         """Canonical text form, e.g. '7^4 6^2 5 1'. Empty partition -> ''."""

@@ -15,8 +15,8 @@ in the paper's order and applied in that order by one loop, _side, one
 factor at a time. Numerator factors are never cancelled against
 denominator factors, and the two sides share no intermediate: after
 cancellation both sides reduce to the same multiset of exponents, so
-checking lhs == rhs would prove nothing. solutionI_check verifies the
-classical identity behind the original Monthly problem.
+checking lhs == rhs would prove nothing. solutionI_sides builds both
+sides of the classical identity behind the original Monthly problem.
 """
 
 from __future__ import annotations
@@ -142,12 +142,6 @@ def solutionI_sides(k: int, N: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     lhs = _side(N, 2 * k, (-1, 2, 2, k), (1, 2, 2, None), (-1, 1, 1, None))
     rhs = _side(N, 2 * k, (-1, 1, 1, k), (1, 2 * (k + 1), 2, None), (-1, k + 1, 1, None))
     return lhs, rhs
-
-
-def solutionI_check(k: int, N: int) -> bool:
-    """True iff both sides of the classical identity agree up to degree N."""
-    lhs, rhs = solutionI_sides(k, N)
-    return lhs == rhs
 
 
 def first_difference(s: TruncatedSeries, t: TruncatedSeries) -> tuple[int, int, int] | None:

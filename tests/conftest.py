@@ -1,9 +1,49 @@
 import random
 
+from parteq.bijection import finite_glaisher_forward, finite_glaisher_inverse
 from parteq.classes import ClassParams
 from parteq.partition import Partition
+from parteq.qseries import solutionI_sides
 
 EMPTY = Partition()
+
+# the order of BijectionTrace.pieces
+TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
+
+
+def weight(p: Partition) -> int:
+    """Sum of all parts with multiplicity, from the entries: not the weight p caches."""
+    return sum(part * mult for part, mult in p.entries)
+
+
+def union(p: Partition, q: Partition) -> Partition:
+    """Multiset union: multiplicities add pointwise."""
+    return Partition.from_pairs(p.entries + q.entries)
+
+
+def glaisher_forward(o: Partition, d: int) -> Partition:
+    """Glaisher's map: base-d expand each multiplicity.
+
+    This is the finite-bound map with the bound at the weight: then
+    j*d^L_j > m >= j*N_j, so no multiplicity reaches its overflow part.
+    """
+    return finite_glaisher_forward(o, d, max(1, weight(o)))
+
+
+def glaisher_inverse(delta: Partition, d: int) -> Partition:
+    """Inverse of Glaisher's map: fold each part j*d^l back onto part j."""
+    return finite_glaisher_inverse(delta, d, max(1, weight(delta)))
+
+
+def solutionI_check(k: int, N: int) -> bool:
+    """True iff both sides of the classical identity agree up to degree N."""
+    lhs, rhs = solutionI_sides(k, N)
+    return lhs == rhs
+
+
+def field(trace, name: str) -> Partition:
+    """A trace field as a Partition, through the validating constructor."""
+    return Partition(trace.pieces[TRACE_FIELDS.index(name)])
 
 
 def largest_part(p: Partition) -> int:
@@ -40,8 +80,8 @@ def random_d_free_partition(rng: random.Random, d: int, max_part: int, max_parts
 
 
 def reference_is_in_A(p: Partition, params: ClassParams) -> bool:
-    """Membership in A(n,k,d,m), read off the definition through Partition's methods."""
-    if p.weight() != params.n:
+    """Membership in A(n,k,d,m), read off the definition one condition at a time."""
+    if weight(p) != params.n:
         return False
     divisible = 0
     for part, mult in p.entries:
@@ -54,7 +94,7 @@ def reference_is_in_A(p: Partition, params: ClassParams) -> bool:
 
 def reference_is_in_B(p: Partition, params: ClassParams) -> bool:
     """Membership in B(n,k,d,m), one condition of the definition at a time."""
-    if p.weight() != params.n:
+    if weight(p) != params.n:
         return False
     k, d, m = params.k, params.d, params.m
     if m < k:

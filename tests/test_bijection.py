@@ -5,20 +5,24 @@ from unittest import mock
 
 import pytest
 
-from parteq.bijection import (
-    BijectionTrace,
-    finite_glaisher_forward,
-    finite_glaisher_inverse,
-    glaisher_forward,
-    glaisher_inverse,
-    phi,
-    phi_inverse,
-)
+from parteq.bijection import BijectionTrace, finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
 from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
 from parteq.partition import Partition
 
-from conftest import EMPTY, largest_part, multiplicity, random_d_free_partition, reference_is_in_B
+from conftest import (
+    EMPTY,
+    TRACE_FIELDS,
+    field,
+    glaisher_forward,
+    glaisher_inverse,
+    largest_part,
+    multiplicity,
+    random_d_free_partition,
+    reference_is_in_B,
+    union,
+    weight,
+)
 
 LAMBDA_1 = Partition.parse("15^2 12 11 9 8 7^4 6^2 5 3 2^2 1")
 KAPPA_1 = Partition.parse("21 18 11 8 7^4 5 4^3 3^3 2^5 1")
@@ -67,7 +71,7 @@ def test_glaisher_round_trip_random():
         d = rng.randint(2, 5)
         o = random_d_free_partition(rng, d, max_part=20)
         image = glaisher_forward(o, d)
-        assert image.weight() == o.weight()
+        assert weight(image) == weight(o)
         assert all(c < d for _, c in image.entries)
         assert glaisher_inverse(image, d) == o
 
@@ -152,7 +156,7 @@ def test_finite_glaisher_round_trip_random():
         m = rng.randint(1, 8)
         o = random_d_free_partition(rng, d, max_part=m * d - 1)
         image = finite_glaisher_forward(o, d, m)
-        assert image.weight() == o.weight()
+        assert weight(image) == weight(o)
         assert largest_part(image) <= m * d
         assert all(c < d for p, c in image.entries if p <= m)
         assert finite_glaisher_inverse(image, d, m) == o
@@ -163,31 +167,31 @@ def test_finite_glaisher_agrees_with_unbounded_when_bound_inactive():
     for _ in range(200):
         d = rng.randint(2, 4)
         o = random_d_free_partition(rng, d, max_part=9)
-        m = o.weight() + 1
+        m = weight(o) + 1
         assert finite_glaisher_forward(o, d, m) == glaisher_forward(o, d)
 
 
 def test_phi_golden_example_1():
     kappa, trace = phi(LAMBDA_1, PARAMS_1)
     assert kappa == KAPPA_1
-    assert trace.mu == Partition.parse("15^2 12 9 6^2 3")
-    assert trace.o == Partition.parse("11 8 7^4 5 2^2 1")
-    assert trace.mu_star == Partition.parse("7^3 6^3 4^3 3^3 2^3")
-    assert trace.mu_star_0 == Partition.parse("4^3 3^3 2^3")
-    assert trace.epsilon == Partition.parse("21 18")
-    assert trace.delta == Partition.parse("11 8 7^4 5 2^2 1")
+    assert field(trace, "mu") == Partition.parse("15^2 12 9 6^2 3")
+    assert field(trace, "o") == Partition.parse("11 8 7^4 5 2^2 1")
+    assert field(trace, "mu_star") == Partition.parse("7^3 6^3 4^3 3^3 2^3")
+    assert field(trace, "mu_star_0") == Partition.parse("4^3 3^3 2^3")
+    assert field(trace, "epsilon") == Partition.parse("21 18")
+    assert field(trace, "delta") == Partition.parse("11 8 7^4 5 2^2 1")
     assert trace.direction == "forward"
 
 
 def test_phi_golden_example_2():
     kappa, trace = phi(LAMBDA_2, PARAMS_2)
     assert kappa == KAPPA_2
-    assert trace.mu == Partition.parse("24 21 15 9")
-    assert trace.o == Partition.parse("20 17 14^4 7^2 2^5 1^3")
-    assert trace.mu_star == Partition.parse("4^9 3^6 2^6 1^3")
-    assert trace.mu_star_0 == trace.mu_star
-    assert trace.epsilon == EMPTY
-    assert trace.delta == Partition.parse("20 17 14^4 7^2 6 3 2^2")
+    assert field(trace, "mu") == Partition.parse("24 21 15 9")
+    assert field(trace, "o") == Partition.parse("20 17 14^4 7^2 2^5 1^3")
+    assert field(trace, "mu_star") == Partition.parse("4^9 3^6 2^6 1^3")
+    assert field(trace, "mu_star_0") == field(trace, "mu_star")
+    assert field(trace, "epsilon") == EMPTY
+    assert field(trace, "delta") == Partition.parse("20 17 14^4 7^2 6 3 2^2")
 
 
 def test_phi_single_part_kd():
@@ -212,8 +216,8 @@ def test_phi_inverse_golden_examples():
     lam, trace = phi_inverse(KAPPA_1, PARAMS_1)
     assert lam == LAMBDA_1
     assert trace.direction == "inverse"
-    assert trace.mu_star == Partition.parse("7^3 6^3 4^3 3^3 2^3")
-    assert trace.delta == Partition.parse("11 8 7^4 5 2^2 1")
+    assert field(trace, "mu_star") == Partition.parse("7^3 6^3 4^3 3^3 2^3")
+    assert field(trace, "delta") == Partition.parse("11 8 7^4 5 2^2 1")
     lam2, _ = phi_inverse(KAPPA_2, PARAMS_2)
     assert lam2 == LAMBDA_2
 
@@ -302,19 +306,20 @@ def test_phi_inverse_returns_exactly_on_B_without_its_input_check():
 
 def test_trace_decomposition_invariants():
     for lam, params in [(LAMBDA_1, PARAMS_1), (LAMBDA_2, PARAMS_2)]:
-        kappa, t = phi(lam, params)
-        assert t.lam == t.mu + t.o
-        assert t.mu_star == t.mu.conjugate()
-        rescaled_back = Partition.from_pairs((p // params.d, c * params.d) for p, c in t.epsilon.entries)
-        assert t.mu_star == t.mu_star_0 + rescaled_back
-        assert t.kappa == t.mu_star_0 + t.epsilon + t.delta
-        assert t.lam.weight() == t.kappa.weight() == params.n
-        assert all(p % params.d == 0 for p, _ in t.mu.entries)
-        assert all(p % params.d != 0 and p < params.m * params.d for p, _ in t.o.entries)
+        _, t = phi(lam, params)
+        lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = (field(t, name) for name in TRACE_FIELDS)
+        assert lam == union(mu, o)
+        assert mu_star == mu.conjugate()
+        rescaled_back = Partition.from_pairs((p // params.d, c * params.d) for p, c in epsilon.entries)
+        assert mu_star == union(mu_star_0, rescaled_back)
+        assert kappa == union(union(mu_star_0, epsilon), delta)
+        assert weight(lam) == weight(kappa) == params.n
+        assert all(p % params.d == 0 for p, _ in mu.entries)
+        assert all(p % params.d != 0 and p < params.m * params.d for p, _ in o.entries)
         if params.m >= params.k:
-            assert t.epsilon == EMPTY
+            assert epsilon == EMPTY
         else:
-            assert largest_part(t.epsilon) == params.k * params.d
+            assert largest_part(epsilon) == params.k * params.d
 
 
 def test_trace_json_round_trip():
@@ -325,7 +330,7 @@ def test_trace_json_round_trip():
     assert doc["direction"] == "forward"
     assert doc["kappa"] == KAPPA_1.render()
     assert doc["params"] == {"n": 123, "k": 7, "d": 3, "m": 4}
-    assert Partition.parse(doc["mu_star"]) == t.mu_star
+    assert Partition.parse(doc["mu_star"]) == field(t, "mu_star")
 
 
 def test_phi_bijective_on_small_grid():
@@ -339,7 +344,7 @@ def test_phi_bijective_on_small_grid():
                     images = []
                     for lam in members_a:
                         kappa, _ = phi(lam, params)
-                        assert kappa.weight() == n
+                        assert kappa._weight == weight(kappa) == n
                         back, _ = phi_inverse(kappa, params)
                         assert back == lam
                         images.append(kappa)
@@ -365,14 +370,11 @@ def test_phi_stops_depending_on_m_once_m_reaches_n():
                     if not is_in_A(lam, at_n):
                         continue
                     kappa, trace = phi(lam, at_n)
-                    assert trace.delta == glaisher_forward(trace.o, d), (lam, k, d)
+                    assert field(trace, "delta") == glaisher_forward(field(trace, "o"), d), (lam, k, d)
                     for m in (n + 1, 2 * n):
                         assert phi(lam, ClassParams(n, k, d, m))[0] == kappa, (lam, k, d, m)
                     members += 1
     assert members == 5230
-
-
-TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "kappa")
 
 
 def test_trace_holds_its_pieces_in_field_order():
@@ -382,9 +384,10 @@ def test_trace_holds_its_pieces_in_field_order():
             assert image == expected
             assert type(t.pieces) is tuple and len(t.pieces) == len(TRACE_FIELDS)
             for name, piece in zip(TRACE_FIELDS, t.pieces):
-                # Partition(piece) validates: each piece is canonical entries
-                assert getattr(t, name) == Partition._trusted(piece) == Partition(piece)
-            assert t.lam == lam and t.kappa == kappa
+                # field builds through Partition(piece), which validates:
+                # each piece is canonical entries
+                assert field(t, name) == Partition._trusted(piece)
+            assert field(t, "lam") == lam and field(t, "kappa") == kappa
 
 
 def test_multiplicity_congruence_in_forward_trace():
@@ -392,7 +395,7 @@ def test_multiplicity_congruence_in_forward_trace():
     for lam, params in [(LAMBDA_1, PARAMS_1), (LAMBDA_2, PARAMS_2)]:
         kappa, t = phi(lam, params)
         for i in range(1, min(params.m, params.k) + 1):
-            assert multiplicity(kappa, i) % params.d == multiplicity(t.delta, i) % params.d
+            assert multiplicity(kappa, i) % params.d == multiplicity(field(t, "delta"), i) % params.d
 
 
 # sha256 of every trace's to_json() line, newline-terminated: phi on each

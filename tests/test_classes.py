@@ -21,7 +21,7 @@ from parteq.errors import BudgetExceeded, DomainError
 from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
 
-from conftest import EMPTY, reference_is_in_A, reference_is_in_B
+from conftest import EMPTY, reference_is_in_A, reference_is_in_B, weight
 
 
 def partition_count_recurrence(n: int) -> int:
@@ -197,7 +197,7 @@ def test_enumerate_partitions_p7():
     assert len(items) == 15
     assert len(items) == partition_count_recurrence(7)
     assert len(set(items)) == 15
-    assert all(p.weight() == 7 for p in items)
+    assert all(p._weight == weight(p) == 7 for p in items)
 
 
 def test_enumerate_order_descending_lex():
@@ -209,7 +209,7 @@ def test_enumerate_matches_reference():
     for n in range(0, 21):
         items = list(enumerate_partitions(n))
         assert items == list(reference_partitions(n)), n
-        assert all(p.weight() == n for p in items)
+        assert all(p._weight == weight(p) == n for p in items)
         assert len(items) == count_partitions(n)
 
 
@@ -383,3 +383,34 @@ def test_reduction_to_unbounded_for_large_m():
                 unbounded_b = bool(repeated) and max(repeated) == k
                 assert is_in_A(p, params) == unbounded_a
                 assert is_in_B(p, params) == unbounded_b
+
+
+def test_finitely_many_cases_at_each_weight():
+    # Why verify over k, d, m in 1..N at each n <= N covers every (k, d, m):
+    # at kd > n neither class has a member (A needs k parts of at least d,
+    # B a part kd or d copies of k), and every m >= n gives the classes
+    # of m = n. m = 1 reaches B's m < k branch, m >= n its m >= k branch.
+    # The member counts at m = n keep the comparisons from being vacuous;
+    # the series count them too, as the sum of lhs_series(k, d, n, n) at q^n.
+    count_a = count_b = 0
+    for n in range(1, 17):
+        partitions = list(enumerate_partitions(n))
+        for k in range(1, n + 2):
+            for d in range(1, n + 2):
+                if k * d > n:
+                    for m in (1, n, n + 1, 2 * n):
+                        params = ClassParams(n, k, d, m)
+                        for p in partitions:
+                            assert not reference_is_in_A(p, params), (p.render(), params)
+                            assert not reference_is_in_B(p, params), (p.render(), params)
+                    continue
+                at_n = ClassParams(n, k, d, n)
+                for p in partitions:
+                    in_a, in_b = reference_is_in_A(p, at_n), reference_is_in_B(p, at_n)
+                    count_a += in_a
+                    count_b += in_b
+                    for m in (n + 1, 2 * n):
+                        params = ClassParams(n, k, d, m)
+                        assert reference_is_in_A(p, params) == in_a, (p.render(), params)
+                        assert reference_is_in_B(p, params) == in_b, (p.render(), params)
+    assert count_a == count_b == 3174

@@ -18,7 +18,7 @@ from parteq.cli import main
 from parteq.errors import ParteqError
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series
 
-from conftest import EMPTY
+from conftest import EMPTY, weight
 
 LAMBDA_1 = "15^2 12 11 9 8 7^4 6^2 5 3 2^2 1"
 KAPPA_1 = "21 18 11 8 7^4 5 4^3 3^3 2^5 1"
@@ -182,7 +182,7 @@ def test_verify_splits_each_n_d_m_once(monkeypatch, capsys):
     calls = Counter()
 
     def counting(partitions, d, m):
-        calls[partitions[0].weight(), d, m] += 1
+        calls[weight(partitions[0]), d, m] += 1
         return members_by_k(partitions, d, m)
 
     monkeypatch.setattr(cli, "members_by_k", counting)
@@ -598,3 +598,16 @@ def test_verify_timing_adds_only_elapsed(capsys):
         elapsed = rec.pop("elapsed")
         assert isinstance(elapsed, float) and elapsed >= 0
     assert "".join(json.dumps(rec) + "\n" for rec in records) == plain
+
+
+def test_verify_every_parameter_to_n_12(capsys):
+    # k, d, m in 1..12 at each n <= 12 covers every (k, d, m) there: at
+    # kd > n both classes are empty, and m >= n gives the classes of m = n
+    # (test_classes.py::test_finitely_many_cases_at_each_weight); CI runs
+    # the same sweep to n = 28
+    code, out, _ = run(capsys, "verify", "--n", "0..12", "--k", "1..12", "--d", "1..12", "--m", "1..12", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 13 * 12**3 == 22464
+    assert all(rec["pass"] is True for rec in records)
+    assert hashlib.sha256(out.encode()).hexdigest() == "bc7b24a1638cea0da0d3af48527e8a93d33a489eb720b56c9452ea8de1cafc91"

@@ -10,9 +10,10 @@ from parteq.qseries import (
     first_difference,
     lhs_series,
     rhs_series,
-    solutionI_check,
     solutionI_sides,
 )
+
+from conftest import solutionI_check
 
 
 def one(N: int) -> TruncatedSeries:
