@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError, check_int, quote
-from .partition import Partition
+from .partition import Partition, _weigh
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
@@ -191,12 +191,12 @@ def k_of_B(p: Partition, d: int, m: int) -> int | None:
 
 def is_in_A(p: Partition, params: ClassParams) -> bool:
     """Membership in A(n,k,d,m)."""
-    return p._weight == params.n and k_of_A(p, params.d, params.m) == params.k
+    return _weigh(p.entries) == params.n and k_of_A(p, params.d, params.m) == params.k
 
 
 def is_in_B(p: Partition, params: ClassParams) -> bool:
     """Membership in B(n,k,d,m)."""
-    return p._weight == params.n and k_of_B(p, params.d, params.m) == params.k
+    return _weigh(p.entries) == params.n and k_of_B(p, params.d, params.m) == params.k
 
 
 def members_by_k(partitions: Iterable[Partition], d: int, m: int) -> tuple[dict, dict]:

@@ -15,11 +15,7 @@ class ParteqError(Exception):
 
 
 class ParseError(ParteqError, ValueError):
-    """Malformed partition text. Carries the character position of the fault."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """Malformed partition text; the message names the character position of the fault."""
 
 
 class DomainError(ParteqError, ValueError):

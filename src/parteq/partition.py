@@ -2,9 +2,8 @@
 
 A partition is its descending tuple of (part, multiplicity) pairs and
 nothing else. Zero multiplicities are never stored, so equal partitions
-compare equal structurally and hash consistently. The weight is summed
-from the entries when a partition is built. All operations are pure;
-instances are immutable and safe to share.
+compare equal structurally and hash consistently. All operations are
+pure; instances are immutable and safe to share.
 
 Canonical text format: space-separated tokens ``part`` or ``part^mult``
 with parts strictly descending, the ``^mult`` suffix only for mult >= 2,
@@ -74,12 +73,7 @@ def _weigh(entries: tuple[tuple[int, int], ...]) -> int:
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of a nonnegative integer, as (part, multiplicity) pairs.
-
-    The entries are the only field. Both constructors sum the weight from
-    them into the instance dict, as _weight; it takes no part in equality,
-    hashing or repr.
-    """
+    """A partition of a nonnegative integer, as (part, multiplicity) pairs."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
@@ -97,8 +91,6 @@ class Partition:
             if prev is not None and part >= prev:
                 raise DomainError("entries must be strictly descending by part")
             prev = part
-        # past the frozen __setattr__ guard, as _trusted writes it
-        self.__dict__["_weight"] = _weigh(self.entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Partition":
@@ -111,10 +103,8 @@ class Partition:
         through here; any other input goes through Partition(...).
         """
         p = object.__new__(cls)
-        # the instance dict, written directly: the field __init__ sets and
-        # the weight __post_init__ sums, without the frozen __setattr__ guard
+        # the field __init__ sets, written past the frozen __setattr__ guard
         p.__dict__["entries"] = entries
-        p.__dict__["_weight"] = _weigh(entries)
         return p
 
     @classmethod
@@ -159,16 +149,16 @@ class Partition:
         for token in text.split(" ") if text else ():
             match = _TOKEN_RE.fullmatch(token)
             if match is None:
-                raise ParseError(f"malformed token {quote(token)} at position {pos}", position=pos)
+                raise ParseError(f"malformed token {quote(token)} at position {pos}")
             try:
                 part = int(match.group(1))
                 mult = int(match.group(2) or 1)
             except ValueError:
                 # the token is all ASCII digits, so this is the interpreter's
                 # limit on the digits int() reads from text
-                raise ParseError(f"integer too long in token at position {pos}", position=pos) from None
+                raise ParseError(f"integer too long in token at position {pos}") from None
             if entries and part >= entries[-1][0]:
-                raise ParseError(f"parts must be strictly descending at position {pos}", position=pos)
+                raise ParseError(f"parts must be strictly descending at position {pos}")
             entries.append((part, mult))
             pos += len(token) + 1
         return Partition._trusted(tuple(entries))

@@ -12,7 +12,7 @@ TRACE_FIELDS = ("lam", "mu", "o", "mu_star", "mu_star_0", "epsilon", "delta", "k
 
 
 def weight(p: Partition) -> int:
-    """Sum of all parts with multiplicity, from the entries: not the weight p caches."""
+    """Sum of all parts with multiplicity, from the entries; independent of the library's _weigh."""
     return sum(part * mult for part, mult in p.entries)
 
 

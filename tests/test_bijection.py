@@ -8,7 +8,7 @@ import pytest
 from parteq.bijection import BijectionTrace, finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
 from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
-from parteq.partition import Partition
+from parteq.partition import Partition, _weigh
 
 from conftest import (
     EMPTY,
@@ -344,7 +344,7 @@ def test_phi_bijective_on_small_grid():
                     images = []
                     for lam in members_a:
                         kappa, _ = phi(lam, params)
-                        assert kappa._weight == weight(kappa) == n
+                        assert _weigh(kappa.entries) == weight(kappa) == n
                         back, _ = phi_inverse(kappa, params)
                         assert back == lam
                         images.append(kappa)

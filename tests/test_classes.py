@@ -18,7 +18,7 @@ from parteq.classes import (
     members_by_k,
 )
 from parteq.errors import BudgetExceeded, DomainError
-from parteq.partition import Partition
+from parteq.partition import Partition, _weigh
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series, solutionI_sides
 
 from conftest import EMPTY, reference_is_in_A, reference_is_in_B, weight
@@ -197,7 +197,7 @@ def test_enumerate_partitions_p7():
     assert len(items) == 15
     assert len(items) == partition_count_recurrence(7)
     assert len(set(items)) == 15
-    assert all(p._weight == weight(p) == 7 for p in items)
+    assert all(_weigh(p.entries) == weight(p) == 7 for p in items)
 
 
 def test_enumerate_order_descending_lex():
@@ -209,7 +209,7 @@ def test_enumerate_matches_reference():
     for n in range(0, 21):
         items = list(enumerate_partitions(n))
         assert items == list(reference_partitions(n)), n
-        assert all(p._weight == weight(p) == n for p in items)
+        assert all(_weigh(p.entries) == weight(p) == n for p in items)
         assert len(items) == count_partitions(n)
 
 
