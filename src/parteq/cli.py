@@ -51,20 +51,15 @@ class VerifyReport:
     error: str | None = None
     elapsed: float | None = None
 
-    @property
-    def passed(self) -> bool:
-        if self.error is not None:
-            return False
-        numbers = {self.count_a, self.count_b, self.coeff_lhs, self.coeff_rhs}
-        return len(numbers) == 1 and self.bijection_ok is not False
-
     def to_record(self, timing: bool) -> dict:
+        """The point's record; it passes with no error, four equal numbers and no failed bijection."""
+        numbers = {self.count_a, self.count_b, self.coeff_lhs, self.coeff_rhs}
         rec = {
             "n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m,
             "count_A": self.count_a, "count_B": self.count_b,
             "coeff_lhs": self.coeff_lhs, "coeff_rhs": self.coeff_rhs,
             "bijection": self.bijection_ok,
-            "pass": self.passed,
+            "pass": self.error is None and len(numbers) == 1 and self.bijection_ok is not False,
         }
         if self.error is not None:
             rec["error"] = self.error
@@ -143,31 +138,25 @@ def cmd_verify(args) -> int:
     ns = _parse_range(args.n)
     kdms = list(itertools.product(_parse_range(args.k), _parse_range(args.d), _parse_range(args.m)))
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
-    # every lower bound, so a bad one fails before any series is built
+    # every lower bound, so a bad one fails here, before the budget walk,
+    # which counts the partitions of each n at O(n²) apiece
     ClassParams(ns[0], *kdms[0])
     # p(n) never decreases, so the n within the budget are a prefix of the
-    # range: stop at the first n over it (a bad cap is a DomainError here)
-    status = EXIT_PASS
-    top = 0
+    # range, and the walk stops at the first n over it (a bad cap is a DomainError here)
+    within = 0
     for n in ns:
         try:
             check_budget(n, args.budget)
         except BudgetExceeded:
-            status = BudgetExceeded.exit_code
             break
-        top = n
+        within += 1
+    status = BudgetExceeded.exit_code if ns[within:] else EXIT_PASS
+    top = ns[within - 1] if within else 0
     series = {kdm: (lhs_series(*kdm, top), rhs_series(*kdm, top)) for kdm in kdms}
 
     def records():
         nonlocal status
-        for n in ns:
-            try:
-                check_budget(n, args.budget)
-            except BudgetExceeded as exc:
-                for kdm in kdms:
-                    report = VerifyReport(ClassParams(n, *kdm), error=f"BudgetExceeded: {exc}", elapsed=0.0)
-                    yield report.to_record(timing=args.timing)
-                continue
+        for n in ns[:within]:
             partitions = list(enumerate_partitions(n))
             # one split per (d, m) serves every k; it is made when a point
             # first needs it and counts in that point's elapsed
@@ -180,9 +169,18 @@ def cmd_verify(args) -> int:
                 a, b = splits[d, m]
                 report = verify_point(params, a.get(k, []), b.get(k, []), *series[k, d, m])
                 report.elapsed = time.perf_counter() - start
-                if not report.passed:
+                rec = report.to_record(timing=args.timing)
+                if not rec["pass"]:
                     status = EXIT_FAIL
-                yield report.to_record(timing=args.timing)
+                yield rec
+        # every later n is over the budget too; each gets its own message
+        for n in ns[within:]:
+            try:
+                check_budget(n, args.budget)
+            except BudgetExceeded as exc:
+                for kdm in kdms:
+                    report = VerifyReport(ClassParams(n, *kdm), error=f"BudgetExceeded: {exc}", elapsed=0.0)
+                    yield report.to_record(timing=args.timing)
 
     _emit(records(), args.format, sys.stdout)
     return status

@@ -207,6 +207,25 @@ def test_verify_rejects_huge_n_quickly():
     assert rec["n"] == 100000 and rec["error"].startswith("BudgetExceeded: ")
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "-1..5"), ("--k", "0"), ("--d", "0"), ("--m", "0")])
+def test_verify_bad_bound_fails_before_the_budget_walk(monkeypatch, capsys, flag, value):
+    # with a budget this large the walk would count the partitions of
+    # every n in the range, at O(n²) apiece; a bad bound is refused first
+    checked = []
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", lambda n, cap: checked.append(n) or check_budget(n, cap))
+    # "--n=-1..5": a separate "-1..5" would read as a flag
+    flags = {"--n": "0..5", "--k": "1", "--d": "2", "--m": "1", flag: value}
+    argv = [f"{name}={text}" for name, text in flags.items()]
+    code, out, err = run(capsys, "verify", *argv, "--budget", str(10**60), "--json")
+    assert code == 2
+    assert out == "" and checked == []
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "DomainError"
+    assert error["message"].startswith(f"{flag[2:]} must be >= ")
+
+
 SWEEP_FROM_0 = ["verify", "--k", "1", "--d", "2", "--m", "1", "--budget", "0", "--json", "--n"]
 
 
@@ -362,6 +381,37 @@ def test_verify_bijection_false_when_images_miss_b(monkeypatch, capsys):
     assert len(seen) == 4
     assert rec["bijection"] is False and rec["pass"] is False and "error" not in rec
     assert rec["count_A"] == rec["count_B"] == rec["coeff_lhs"] == rec["coeff_rhs"] == 4
+
+
+def rhs_off_at_5(k, d, m, N):
+    coeffs = list(rhs_series(k, d, m, N).coefficients)
+    coeffs[5] += 1
+    return TruncatedSeries(tuple(coeffs))
+
+
+def without_last_b_member(partitions, d, m):
+    a, b = members_by_k(partitions, d, m)
+    return a, {k: members[:-1] for k, members in b.items()}
+
+
+@pytest.mark.parametrize("name, patch", [("rhs_series", rhs_off_at_5), ("members_by_k", without_last_b_member)],
+                         ids=["coefficient", "count"])
+def test_verify_fails_when_oracles_disagree_with_no_phi_fault(monkeypatch, capsys, name, patch):
+    # φ and φ⁻¹ are sound here: the numbers alone fail the n = 5 points
+    monkeypatch.setattr(cli, name, patch)
+    code, out, _ = run(capsys, "verify", "--n", "4..6", "--k", "1", "--d", "1..2", "--m", "2", "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    at_5 = [rec for rec in records if rec["n"] == 5]
+    assert [rec["d"] for rec in at_5] == [1, 2]
+    for rec in at_5:
+        assert rec["pass"] is False and "error" not in rec
+    if name == "members_by_k":
+        assert [rec["bijection"] for rec in at_5] == [None, False]
+        assert all(rec["count_B"] == rec["count_A"] - 1 for rec in at_5)
+    else:
+        assert [rec["bijection"] for rec in at_5] == [None, True]
+        assert all(rec["pass"] is True for rec in records if rec["n"] != 5)
 
 
 def test_series_reports_first_difference(monkeypatch, capsys):
@@ -598,6 +648,22 @@ def test_verify_timing_adds_only_elapsed(capsys):
         elapsed = rec.pop("elapsed")
         assert isinstance(elapsed, float) and elapsed >= 0
     assert "".join(json.dumps(rec) + "\n" for rec in records) == plain
+
+
+def test_verify_checks_each_n_against_the_budget_once(monkeypatch, capsys):
+    # p(10) = 42 and p(11) = 56: the walk checks 0..11 and stops at 11,
+    # then the refusals check 11 and 12, each for its own message
+    calls = Counter()
+    check_budget = cli.check_budget
+
+    def counting(n, cap):
+        calls[n] += 1
+        return check_budget(n, cap)
+
+    monkeypatch.setattr(cli, "check_budget", counting)
+    code, _, _ = run(capsys, "verify", *BUDGET_SWEEP)
+    assert code == 3
+    assert calls == Counter({**{n: 1 for n in range(11)}, 11: 2, 12: 1})
 
 
 def test_verify_every_parameter_to_n_12(capsys):
