@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError, check_int, quote
 from .partition import Partition, _weigh
@@ -55,20 +54,35 @@ def integer(text: str) -> int:
         raise DomainError(f"integer too long: {len(text)} characters") from None
 
 
-@dataclass(frozen=True)
 class ClassParams:
-    """The quadruple (n, k, d, m) parameterizing A and B."""
+    """The quadruple (n, k, d, m) parameterizing A and B, an immutable value."""
 
-    n: int
-    k: int
-    d: int
-    m: int
+    def __init__(self, n: int, k: int, d: int, m: int):
+        check_int("n", n, 0)
+        check_int("k", k, 1)
+        check_int("d", d, 1)
+        check_int("m", m, 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
-    def __post_init__(self):
-        check_int("n", self.n, 0)
-        check_int("k", self.k, 1)
-        check_int("d", self.d, 1)
-        check_int("m", self.m, 1)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.d, self.m) == (other.n, other.k, other.d, other.m)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.d, self.m))
+
+    def __repr__(self):
+        return f"ClassParams(n={self.n!r}, k={self.k!r}, d={self.d!r}, m={self.m!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ClassParams":

@@ -10,13 +10,12 @@ an error's status is declared on its type in errors.py.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass
 
 from .bijection import phi, phi_inverse
 from .classes import (
@@ -38,18 +37,28 @@ EXIT_FAIL = 1
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass
 class VerifyReport:
     """Result record for one grid point."""
 
-    params: ClassParams
-    count_a: int | None = None
-    count_b: int | None = None
-    coeff_lhs: int | None = None
-    coeff_rhs: int | None = None
-    bijection_ok: bool | None = None  # None when d = 1 (not applicable)
-    error: str | None = None
-    elapsed: float | None = None
+    def __init__(
+        self,
+        params: ClassParams,
+        count_a: int | None = None,
+        count_b: int | None = None,
+        coeff_lhs: int | None = None,
+        coeff_rhs: int | None = None,
+        bijection_ok: bool | None = None,  # None when d = 1 (not applicable)
+        error: str | None = None,
+        elapsed: float | None = None,
+    ):
+        self.params = params
+        self.count_a = count_a
+        self.count_b = count_b
+        self.coeff_lhs = coeff_lhs
+        self.coeff_rhs = coeff_rhs
+        self.bijection_ok = bijection_ok
+        self.error = error
+        self.elapsed = elapsed
 
     def to_record(self, timing: bool) -> dict:
         """The point's record; it passes with no error, four equal numbers and no failed bijection."""
@@ -115,6 +124,8 @@ def _emit(records, fmt: str, out) -> None:
     # in all records or none, so the longest has every column, in order
     keys = list(max(records, key=len))
     if fmt == "csv":
+        import csv  # here, not at the top: only --csv needs it, and every start-up would pay for it
+
         writer = csv.DictWriter(out, keys, lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
@@ -240,6 +251,13 @@ def cmd_series(args) -> int:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as DomainError, like any other bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token like "-1..5" is a value: no parteq option starts with a
+        # digit, so "--n -1..5" names the bad bound instead of reading it
+        # as a flag (argparse's own pattern takes only whole numbers)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         # an unknown choice or a stray argument is echoed whole by argparse

@@ -13,8 +13,7 @@ and no leading zeros. The empty string denotes the empty partition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DomainError, ParseError, check_int, quote
 
@@ -71,18 +70,20 @@ def _weigh(entries: tuple[tuple[int, int], ...]) -> int:
     return weight
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A partition of a nonnegative integer, as (part, multiplicity) pairs."""
+    """A partition of a nonnegative integer, as (part, multiplicity) pairs.
 
-    entries: tuple[tuple[int, int], ...] = ()
+    An immutable value with one field, entries, set once through
+    object.__setattr__ past the guard below; equal entries give equal
+    partitions with equal hashes.
+    """
 
-    def __post_init__(self):
-        if type(self.entries) is not tuple:
-            kind = type(self.entries).__name__
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        if type(entries) is not tuple:
+            kind = type(entries).__name__
             raise DomainError(f"entries must be a tuple of (part, multiplicity) tuples, got a {kind}")
         prev = None
-        for entry in self.entries:
+        for entry in entries:
             if type(entry) is not tuple or len(entry) != 2:
                 raise DomainError(f"invalid entry {entry!r}: expected a (part, multiplicity) tuple")
             part, mult = entry
@@ -91,6 +92,7 @@ class Partition:
             if prev is not None and part >= prev:
                 raise DomainError("entries must be strictly descending by part")
             prev = part
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Partition":
@@ -103,9 +105,28 @@ class Partition:
         through here; any other input goes through Partition(...).
         """
         p = object.__new__(cls)
-        # the field __init__ sets, written past the frozen __setattr__ guard
-        p.__dict__["entries"] = entries
+        # the field __init__ sets, set the way __init__ sets it: a write
+        # through __dict__ would give the instance a real dict, and every
+        # later read of entries would get slower
+        object.__setattr__(p, "entries", entries)
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Partition(entries={self.entries!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":

@@ -21,25 +21,38 @@ sides of the classical identity behind the original Monthly problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import DegreeMismatch, DomainError, OutOfRange, check_int
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal power series in q, kept exactly up to degree len(coefficients) - 1."""
+    """Formal power series in q, kept exactly up to degree len(coefficients) - 1; an immutable value."""
 
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple[int, ...]):
         # exactly a tuple, checked in O(1): a list would build and then
         # fail to hash; an empty one would have no degree
-        c = self.coefficients
-        if type(c) is not tuple or not c:
-            got = "()" if c == () else f"a {type(c).__name__}"
+        if type(coefficients) is not tuple or not coefficients:
+            got = "()" if coefficients == () else f"a {type(coefficients).__name__}"
             raise DomainError(f"coefficients must be a non-empty tuple, got {got}")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __repr__(self):
+        return f"TruncatedSeries(coefficients={self.coefficients!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def truncation_degree(self) -> int:

@@ -207,23 +207,42 @@ def test_verify_rejects_huge_n_quickly():
     assert rec["n"] == 100000 and rec["error"].startswith("BudgetExceeded: ")
 
 
-@pytest.mark.parametrize("flag, value", [("--n", "-1..5"), ("--k", "0"), ("--d", "0"), ("--m", "0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--n", "-1..5"), ("--d", "-2..3"), ("--k", "0"), ("--d", "0"), ("--m", "0")]
+)
 def test_verify_bad_bound_fails_before_the_budget_walk(monkeypatch, capsys, flag, value):
     # with a budget this large the walk would count the partitions of
     # every n in the range, at O(n²) apiece; a bad bound is refused first
     checked = []
     check_budget = cli.check_budget
     monkeypatch.setattr(cli, "check_budget", lambda n, cap: checked.append(n) or check_budget(n, cap))
-    # "--n=-1..5": a separate "-1..5" would read as a flag
     flags = {"--n": "0..5", "--k": "1", "--d": "2", "--m": "1", flag: value}
-    argv = [f"{name}={text}" for name, text in flags.items()]
-    code, out, err = run(capsys, "verify", *argv, "--budget", str(10**60), "--json")
-    assert code == 2
-    assert out == "" and checked == []
-    [line] = err.splitlines()
-    error = json.loads(line)
-    assert error["error"] == "DomainError"
-    assert error["message"].startswith(f"{flag[2:]} must be >= ")
+    # "--n=-1..5" and "--n -1..5" alike: a separate value that starts with
+    # a minus and a digit is the flag's value, not a flag of its own
+    joined = [f"{name}={text}" for name, text in flags.items()]
+    separate = [word for name, text in flags.items() for word in (name, text)]
+    for argv in (joined, separate):
+        code, out, err = run(capsys, "verify", *argv, "--budget", str(10**60), "--json")
+        assert code == 2
+        assert out == "" and checked == []
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "DomainError"
+        assert error["message"].startswith(f"{flag[2:]} must be >= ")
+
+
+def test_start_up_imports_no_heavy_module():
+    # dataclasses pulls in inspect, ast, dis and tokenize; typing and csv
+    # are large too, and a parteq process pays for each before any work.
+    # -S keeps a .pth file in site-packages from importing typing first
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import parteq.cli; parteq.cli.build_parser()\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules))))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 SWEEP_FROM_0 = ["verify", "--k", "1", "--d", "2", "--m", "1", "--budget", "0", "--json", "--n"]

@@ -7,6 +7,7 @@ from parteq.bijection import finite_glaisher_forward, finite_glaisher_inverse, p
 from parteq.classes import ClassParams, enumerate_partitions
 from parteq.errors import DomainError, ParseError
 from parteq.partition import Partition, _weigh
+from parteq.qseries import TruncatedSeries
 
 from conftest import EMPTY, field, largest_part, multiplicity, union, weight
 
@@ -156,6 +157,30 @@ def test_trusted_and_validated_partitions_are_interchangeable():
             assert copied == original
             assert hash(copied) == hash(original)
             assert repr(copied) == repr(original)
+
+
+@pytest.mark.parametrize(
+    "make, fields, text",
+    [
+        (ClassParams, (123, 7, 3, 4), "ClassParams(n=123, k=7, d=3, m=4)"),
+        (TruncatedSeries, ((1, 0),), "TruncatedSeries(coefficients=(1, 0))"),
+        (Partition, (((2, 1),),), "Partition(entries=((2, 1),))"),
+    ],
+    ids=["ClassParams", "TruncatedSeries", "Partition"],
+)
+def test_immutable_values(make, fields, text):
+    value = make(*fields)
+    assert value == make(*fields) and hash(value) == hash(make(*fields))
+    assert value != fields and fields != value
+    assert repr(value) == text
+    [name, *_] = vars(value)
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert repr(value) == text
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == text
 
 
 def test_partition_holds_only_its_entries():
