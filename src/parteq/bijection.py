@@ -179,7 +179,10 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
     epsilon = tuple(eps_pairs)
 
     delta = _glaisher_forward(o, d, m)
-    kappa = Partition._trusted(canonical(epsilon + mu_star_0 + delta))
+    # every epsilon part is d*i with i > m, above m*d; mu_star_0's parts are
+    # at most min(m, k) and delta's at most m*d, so epsilon leads kappa as
+    # it stands, and only mu_star_0 and delta, which can share parts, merge
+    kappa = Partition._trusted(epsilon + canonical(mu_star_0 + delta))
 
     if not is_in_B(kappa, params):
         raise InternalError(f"phi produced {kappa.render()!r} outside B")
@@ -229,7 +232,9 @@ def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, Bijec
     mu_star = tuple(unscaled_pairs) + mu_star_0
     mu = _conjugate(mu_star)
     o = _glaisher_inverse(delta, d, m)
-    lam = Partition._trusted(canonical(mu + o))
+    # d divides every part of mu and no part of o, so the two share no
+    # part, and sorting their entries is all the join needs
+    lam = Partition._trusted(tuple(sorted(mu + o, reverse=True)))
 
     # is_in_A settles that mu_star holds d copies of k: d divides all its
     # multiplicities (mult - mult % d, mult * d), so mu has max(mu_star) parts,

@@ -97,7 +97,7 @@ def verify_point(params: ClassParams, members_a: list[Partition], members_b: lis
                 kappa, _ = phi(lam, params)
                 images.add(kappa)
                 back, _ = phi_inverse(kappa, params)
-                if back != lam:
+                if back.entries != lam.entries:
                     ok = False
             if images != set(members_b):
                 ok = False
@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", required=True)
     p_verify.add_argument("--budget", type=_integer_flag, default=DEFAULT_BUDGET)
     p_verify.add_argument("--timing", action="store_true", help="include elapsed seconds per point")
-    p_verify.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p_verify.add_argument("--csv", dest="format", action="store_const", const="csv")
+    formats = p_verify.add_mutually_exclusive_group()
+    formats.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+    formats.add_argument("--csv", dest="format", action="store_const", const="csv")
     p_verify.set_defaults(func=cmd_verify)
 
     p_map = sub.add_parser("map", help="apply the bijection (or its inverse) to one partition")

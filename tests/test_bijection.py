@@ -304,22 +304,51 @@ def test_phi_inverse_returns_exactly_on_B_without_its_input_check():
     assert inverse_without_input_check(12) == 3058
 
 
+def trace_invariants(N):
+    """Check the decomposition of every trace on the grid, in both directions.
+
+    The grid of test_trace_json_digest_on_the_grid: n <= N, k <= 6,
+    2 <= d <= 4, m <= 8, phi on each A member and phi_inverse on each B
+    member. Pieces are read through field, which validates each as
+    canonical. Besides how the pieces add up, it checks the two facts the
+    joins of lam and kappa rest on: mu and o share no part, and every
+    epsilon part exceeds m*d. Returns the number of traces. Tier-1 runs
+    N = 14 and CI N = 18.
+    """
+    count = 0
+    for n in range(N + 1):
+        members = list(enumerate_partitions(n))
+        for k, d, m in itertools.product(range(1, 7), range(2, 5), range(1, 9)):
+            params = ClassParams(n, k, d, m)
+            for p in members:
+                traces = []
+                if is_in_A(p, params):
+                    traces.append(phi(p, params)[1])
+                if is_in_B(p, params):
+                    traces.append(phi_inverse(p, params)[1])
+                for t in traces:
+                    lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = (field(t, name) for name in TRACE_FIELDS)
+                    where = (p.render(), params, t.direction)
+                    assert lam == union(mu, o), where
+                    assert not {q for q, _ in mu.entries} & {q for q, _ in o.entries}, where
+                    assert mu_star == mu.conjugate(), where
+                    rescaled_back = Partition.from_pairs((q // d, c * d) for q, c in epsilon.entries)
+                    assert mu_star == union(mu_star_0, rescaled_back), where
+                    assert kappa == union(union(mu_star_0, epsilon), delta), where
+                    assert all(q > m * d for q, _ in epsilon.entries), where
+                    assert weight(lam) == weight(kappa) == n, where
+                    assert all(q % d == 0 for q, _ in mu.entries), where
+                    assert all(q % d != 0 and q < m * d for q, _ in o.entries), where
+                    if m >= k:
+                        assert epsilon == EMPTY, where
+                    else:
+                        assert largest_part(epsilon) == k * d, where
+                    count += 1
+    return count
+
+
 def test_trace_decomposition_invariants():
-    for lam, params in [(LAMBDA_1, PARAMS_1), (LAMBDA_2, PARAMS_2)]:
-        _, t = phi(lam, params)
-        lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = (field(t, name) for name in TRACE_FIELDS)
-        assert lam == union(mu, o)
-        assert mu_star == mu.conjugate()
-        rescaled_back = Partition.from_pairs((p // params.d, c * params.d) for p, c in epsilon.entries)
-        assert mu_star == union(mu_star_0, rescaled_back)
-        assert kappa == union(union(mu_star_0, epsilon), delta)
-        assert weight(lam) == weight(kappa) == params.n
-        assert all(p % params.d == 0 for p, _ in mu.entries)
-        assert all(p % params.d != 0 and p < params.m * params.d for p, _ in o.entries)
-        if params.m >= params.k:
-            assert epsilon == EMPTY
-        else:
-            assert largest_part(epsilon) == params.k * params.d
+    assert trace_invariants(14) == 12134
 
 
 def test_trace_json_round_trip():

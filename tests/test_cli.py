@@ -556,6 +556,7 @@ def test_series_degree_too_large_to_allocate_exits_2(capsys, N, argv):
         pytest.param(["verify", "--n", "5..3", "--k", "1", "--d", "2", "--m", "2"], id="verify-range-reversed"),
         pytest.param(["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
         pytest.param(["verify", "--n", "1_0", "--k", "1", "--d", "2", "--m", "2"], id="verify-n-underscore"),
+        pytest.param(["verify", "--n", "5", "--k", "1", "--d", "2", "--m", "1", "--json", "--csv"], id="verify-json-csv"),
         pytest.param(["map", "3", "--params", "\u0663,1,2,2"], id="params-arabic-digit"),
         pytest.param(["series", "--k", "\u0663", "--d", "2", "--m", "2"], id="series-k-arabic-digit"),
     ],
