@@ -32,7 +32,7 @@ import functools
 import re
 from collections.abc import Iterable, Iterator
 
-from .errors import BudgetExceeded, DomainError, check_int, quote
+from .errors import BudgetExceeded, DomainError, Value, check_int, quote
 from .partition import Partition, _weigh
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -54,7 +54,7 @@ def integer(text: str) -> int:
         raise DomainError(f"integer too long: {len(text)} characters") from None
 
 
-class ClassParams:
+class ClassParams(Value, fields=("n", "k", "d", "m")):
     """The quadruple (n, k, d, m) parameterizing A and B, an immutable value."""
 
     def __init__(self, n: int, k: int, d: int, m: int):
@@ -66,23 +66,6 @@ class ClassParams:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.d, self.m) == (other.n, other.k, other.d, other.m)
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.d, self.m))
-
-    def __repr__(self):
-        return f"ClassParams(n={self.n!r}, k={self.k!r}, d={self.d!r}, m={self.m!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ClassParams":

@@ -1,11 +1,15 @@
-"""Exception types shared across the package, the one parameter check, and
-the one way a message quotes the input it rejects.
+"""Exception types shared across the package, the one parameter check,
+the one way a message quotes the input it rejects, and Value, the base of
+the immutable values: the leaf module that classes, partition and qseries
+all import.
 
 Each type carries the exit status the `parteq` command returns for it:
 2 (usage) unless a type says otherwise, 1 where a checked claim failed,
 3 where the enumeration budget was exceeded. A subclass inherits its
 parent's status.
 """
+
+from operator import attrgetter
 
 
 class ParteqError(Exception):
@@ -45,6 +49,40 @@ def quote(text: str) -> str:
     if len(text) <= 40:
         return repr(text)
     return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+class Value:
+    """An immutable value, equal and hashed by its fields.
+
+    A subclass names its fields in its class statement, as in
+    class Partition(Value, fields=("entries",)), and its __init__ sets each
+    once through object.__setattr__. Values of different classes are never
+    equal; the hash is that of the one field, or of the tuple of several.
+    """
+
+    def __init_subclass__(cls, fields: tuple[str, ...], **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields
+        cls._key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class UnsupportedModulus(DomainError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-from .errors import DomainError, ParseError, check_int, quote
+from .errors import DomainError, ParseError, Value, check_int, quote
 
 _TOKEN_RE = re.compile(r"([1-9][0-9]*)(?:\^([2-9]|[1-9][0-9]+))?")
 
@@ -70,12 +70,12 @@ def _weigh(entries: tuple[tuple[int, int], ...]) -> int:
     return weight
 
 
-class Partition:
+class Partition(Value, fields=("entries",)):
     """A partition of a nonnegative integer, as (part, multiplicity) pairs.
 
-    An immutable value with one field, entries, set once through
-    object.__setattr__ past the guard below; equal entries give equal
-    partitions with equal hashes.
+    An immutable Value with one field, entries, set once through
+    object.__setattr__, past the guard that Value puts on assignment;
+    equal entries give equal partitions with equal hashes.
     """
 
     def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
@@ -110,23 +110,6 @@ class Partition:
         # later read of entries would get slower
         object.__setattr__(p, "entries", entries)
         return p
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"Partition(entries={self.entries!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .errors import DegreeMismatch, DomainError, OutOfRange, check_int
+from .errors import DegreeMismatch, DomainError, OutOfRange, Value, check_int
+
+# the deepest series degree: one coefficient tuple is then 8 MB of pointers
+MAX_DEGREE = 10**6
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value, fields=("coefficients",)):
     """Formal power series in q, kept exactly up to degree len(coefficients) - 1; an immutable value."""
 
     def __init__(self, coefficients: tuple[int, ...]):
@@ -37,38 +40,18 @@ class TruncatedSeries:
             raise DomainError(f"coefficients must be a non-empty tuple, got {got}")
         object.__setattr__(self, "coefficients", coefficients)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        return f"TruncatedSeries(coefficients={self.coefficients!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     @property
     def truncation_degree(self) -> int:
         return len(self.coefficients) - 1
 
     @classmethod
     def monomial(cls, e: int, N: int) -> "TruncatedSeries":
-        """q^e truncated at N (the zero series when e > N)."""
+        """q^e truncated at N (the zero series when e > N); N is at most MAX_DEGREE."""
         check_int("e", e, 0)
         check_int("N", N, 0)
-        try:
-            coeffs = [0] * (N + 1)
-        except (OverflowError, MemoryError):
-            # raised before anything is allocated: N + 1 is past what a
-            # list can index, or what the allocator will grant
-            raise DomainError(f"series degree N = {N} is too large to allocate") from None
+        if N > MAX_DEGREE:
+            raise DomainError(f"series degree N = {N} is too large to allocate")
+        coeffs = [0] * (N + 1)
         if e <= N:
             coeffs[e] = 1
         return cls(tuple(coeffs))
@@ -94,8 +77,9 @@ class TruncatedSeries:
         out = list(c[:e])
         # map reads each out[i - e] after extend has appended it: extend
         # appends a non-sequence iterable's items one at a time, and a list
-        # iterator sees items appended after it was made (CPython 3.6-3.13).
-        # Were that to change, the result would stop at 2e coefficients.
+        # iterator sees items appended after it was made. CI runs
+        # test_factor_kernels_match_reference_loops on every Python of its
+        # matrix; were that to change, the result would stop at 2e coefficients.
         out.extend(map(add, c[e:], out))
         return TruncatedSeries(tuple(out))
 

@@ -280,7 +280,7 @@ def inverse_without_input_check(N):
     every other partition: its final membership check of lam catches all
     that its input check would have. Each returned trace's mu_star holds k
     at least d times, which phi_inverse does not check by itself. Returns
-    the number of calls that returned. Tier-1 runs N = 12 and CI N = 18.
+    the number of calls that returned. Tier-1 runs N = 12 and tests/deep.py N = 18.
     """
     returned = 0
     with mock.patch("parteq.bijection.is_in_B", lambda p, params: True):
@@ -313,7 +313,7 @@ def trace_invariants(N):
     canonical. Besides how the pieces add up, it checks the two facts the
     joins of lam and kappa rest on: mu and o share no part, and every
     epsilon part exceeds m*d. Returns the number of traces. Tier-1 runs
-    N = 14 and CI N = 18.
+    N = 14 and tests/deep.py N = 18.
     """
     count = 0
     for n in range(N + 1):

@@ -517,11 +517,14 @@ def test_default_budget_is_ten_million(capsys):
         pytest.param(10**18, ["series", "--k", "3", "--d", "2", "--m", "2", "--N", str(10**18)], id="series-N-1e18"),
         pytest.param(2**64, ["count", "--params", f"{2**64},1,2,1", "--class", "A", "--method", "series"],
                      id="count-series-n-2pow64"),
+        pytest.param(10**6 + 1, ["series", "--k", "3", "--d", "2", "--m", "2", "--N", str(10**6 + 1)],
+                     id="series-N-past-max"),
+        pytest.param(10**6 + 1, ["count", "--params", f"{10**6 + 1},1,2,1", "--class", "A", "--method", "series"],
+                     id="count-series-n-past-max"),
     ],
 )
 def test_series_degree_too_large_to_allocate_exits_2(capsys, N, argv):
-    # [0] * (N + 1) raises OverflowError (2**64) or MemoryError (10**18)
-    # before it allocates anything
+    # a degree past qseries.MAX_DEGREE is refused before anything is allocated
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -689,7 +692,7 @@ def test_verify_checks_each_n_against_the_budget_once(monkeypatch, capsys):
 def test_verify_every_parameter_to_n_12(capsys):
     # k, d, m in 1..12 at each n <= 12 covers every (k, d, m) there: at
     # kd > n both classes are empty, and m >= n gives the classes of m = n
-    # (test_classes.py::test_finitely_many_cases_at_each_weight); CI runs
+    # (test_classes.py::test_finitely_many_cases_at_each_weight); tests/deep.py runs
     # the same sweep to n = 28
     code, out, _ = run(capsys, "verify", "--n", "0..12", "--k", "1..12", "--d", "1..12", "--m", "1..12", "--json")
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 
 from parteq.bijection import finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
 from parteq.classes import ClassParams, enumerate_partitions
-from parteq.errors import DomainError, ParseError
+from parteq.errors import DomainError, ParseError, Value
 from parteq.partition import Partition, _weigh
 from parteq.qseries import TruncatedSeries
 
@@ -181,6 +181,15 @@ def test_immutable_values(make, fields, text):
     assert repr(value) == text
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert copied == value and hash(copied) == hash(value) and repr(copied) == text
+
+
+@pytest.mark.parametrize("cls", [ClassParams, Partition, TruncatedSeries])
+def test_value_policy_is_written_once(cls):
+    # equality, hash, repr and the two guards come from Value alone
+    methods = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"}
+    assert issubclass(cls, Value)
+    assert methods <= set(vars(Value))
+    assert not methods & set(vars(cls))
 
 
 def test_partition_holds_only_its_entries():

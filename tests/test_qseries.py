@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from parteq.classes import ClassParams, enumerate_A, enumerate_B
 from parteq.errors import DegreeMismatch, DomainError, OutOfRange
 from parteq.qseries import (
+    MAX_DEGREE,
     TruncatedSeries,
     _side,
     first_difference,
@@ -85,6 +86,12 @@ def test_one_and_monomial():
     assert s.coefficients == (1, 0, 0, 0, 0)
     assert TruncatedSeries.monomial(2, 4).coefficients == (0, 0, 1, 0, 0)
     assert TruncatedSeries.monomial(9, 4).coefficients == (0, 0, 0, 0, 0)
+
+
+def test_monomial_at_the_deepest_degree():
+    s = TruncatedSeries.monomial(0, MAX_DEGREE)
+    assert s.truncation_degree == MAX_DEGREE
+    assert s.coefficients[0] == 1 and s.coefficients.count(0) == MAX_DEGREE
 
 
 def test_mul_identity():

@@ -44,7 +44,7 @@ def delta_weight(entries, k, d, m):
 def weight_distributions(N):
     """Assert the refined claim at each grid (k,d,m) and each n <= N.
 
-    Returns (points, A members). Tier-1 runs N = 18 and CI N = 28.
+    Returns (points, A members). Tier-1 runs N = 18 and tests/deep.py N = 28.
     """
     partitions = [list(enumerate_partitions(n)) for n in range(N + 1)]
     points = members = 0
