@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -191,6 +192,70 @@ def test_verify_splits_each_n_d_m_once(monkeypatch, capsys):
     assert code == 3
     assert len(out.splitlines()) == 12 * 3 * 2 * 3
     assert calls == Counter({(n, d, m): 1 for n in range(10) for d in (1, 2) for m in (1, 2, 3)})
+
+
+def record_series_degrees(monkeypatch):
+    """Make cli's two series builders record the degree N of every build."""
+    degrees = []
+    for name in ("lhs_series", "rhs_series"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda k, d, m, N, build=build: degrees.append(N) or build(k, d, m, N))
+    return degrees
+
+
+def test_verify_builds_series_to_the_last_verified_n(monkeypatch, capsys):
+    # verify_point reads q^n by index, so both series must reach every
+    # verified n; p(9) = 30 and p(10) = 42, so the last one is 9
+    degrees = record_series_degrees(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n", "3..12", "--k", "1", "--d", "2", "--m", "2", "--budget", "30", "--json")
+    assert code == 3
+    assert degrees == [9, 9]
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["pass"] for rec in records] == [True] * 7 + [False] * 3
+
+
+def test_verify_builds_no_series_when_no_n_is_within_the_budget(monkeypatch, capsys):
+    # p(11) = 56: every n is refused, and no record reads a series
+    degrees = record_series_degrees(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n", "11..12", "--k", "1", "--d", "2", "--m", "2", "--budget", "30", "--json")
+    assert code == 3
+    assert degrees == []
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["error"].startswith("BudgetExceeded: ") for rec in records] == [True, True]
+
+
+def test_verify_points_with_no_members(capsys):
+    # kd > n empties both classes: A needs k parts of at least d, B a part
+    # kd or d copies of k; φ is checked on the empty class all the same
+    code, out, _ = run(capsys, "verify", "--n", "0..6", "--k", "1..6", "--d", "1..6", "--m", "1..6", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    empty = [rec for rec in records if rec["k"] * rec["d"] > rec["n"]]
+    # 41 of the 7 · 36 triples (n, k, d) have kd <= n; each holds for 6 values of m
+    assert len(records) == 7 * 6**3 and len(empty) == (7 * 36 - 41) * 6
+    for rec in empty:
+        assert rec == {
+            "n": rec["n"], "k": rec["k"], "d": rec["d"], "m": rec["m"],
+            "count_A": 0, "count_B": 0, "coeff_lhs": 0, "coeff_rhs": 0,
+            "bijection": True if rec["d"] >= 2 else None, "pass": True,
+        }
+
+
+def test_emit_json_writes_json_dumps_of_each_record():
+    # every kind of value a record holds, and an error message that needs
+    # escaping: a quote, a backslash, a control character, a non-ASCII letter
+    point = {"n": 3, "k": 1, "d": 2, "m": 2}
+    records = [
+        {**point, "count_A": None, "count_B": None, "coeff_lhs": None, "coeff_rhs": None, "bijection": None,
+         "pass": False, "error": 'NotInClassB: "3" \\ \x01 \u00e9', "elapsed": 0.0},
+        {**point, "count_A": 2**64 + 1, "count_B": 2**64 + 1, "coeff_lhs": 2**64 + 1, "coeff_rhs": 2**64 + 1,
+         "bijection": True, "pass": True, "elapsed": 1.25e-06},
+        {**point, "count_A": 1, "count_B": 1, "coeff_lhs": 1, "coeff_rhs": 1, "bijection": False, "pass": False,
+         "elapsed": 0.1 + 0.2},
+    ]
+    buf = io.StringIO()
+    cli._emit(iter(records), "json", buf)
+    assert buf.getvalue() == "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def test_verify_rejects_huge_n_quickly():
