@@ -124,6 +124,7 @@ def _glaisher_inverse(entries: tuple[tuple[int, int], ...], d: int, m: int) -> t
     for part, mult in entries:
         if part > md:
             raise DomainError(f"part {part} exceeds {md}")
+        # phi_inverse's image check relies on it: at (6, 1, 2, 2), delta = 2^2 folds to 1^4 and lambda = 2 1^4 is in A
         if part <= m and mult >= d:
             raise DomainError(f"part {part} <= {m} occurs {mult} >= {d} times")
         j, scale = part, 1

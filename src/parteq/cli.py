@@ -35,56 +35,44 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 
 DEFAULT_BUDGET = 10_000_000
+# the most (k, d, m) points verify takes, 45 times CI's largest grid (28³):
+# it refuses a grid whose points and series cannot be allocated, not a slow one
+MAX_POINTS = 10**6
 
 
 class VerifyReport:
-    """Result record for one grid point."""
+    """Outcome of one grid point, made once from plain values."""
 
-    def __init__(
-        self,
-        params: ClassParams,
-        count_a: int | None = None,
-        count_b: int | None = None,
-        coeff_lhs: int | None = None,
-        coeff_rhs: int | None = None,
-        bijection_ok: bool | None = None,  # None when d = 1 (not applicable)
-        error: str | None = None,
-        elapsed: float | None = None,
-    ):
+    def __init__(self, params: ClassParams, numbers: tuple, bijection_ok: bool | None, error: str | None):
         self.params = params
-        self.count_a = count_a
-        self.count_b = count_b
-        self.coeff_lhs = coeff_lhs
-        self.coeff_rhs = coeff_rhs
-        self.bijection_ok = bijection_ok
+        self.numbers = numbers  # (count_A, count_B, coeff_lhs, coeff_rhs), which the verdict compares
+        self.bijection_ok = bijection_ok  # None when d = 1 (not applicable)
         self.error = error
-        self.elapsed = elapsed
 
-    def to_record(self, timing: bool) -> dict:
-        """The point's record; it passes with no error, four equal numbers and no failed bijection."""
-        numbers = {self.count_a, self.count_b, self.coeff_lhs, self.coeff_rhs}
+    def to_record(self, elapsed: float | None) -> dict:
+        """The record, with elapsed unless None; it passes with no error, four equal numbers, no failed bijection."""
+        p = self.params
+        count_a, count_b, coeff_lhs, coeff_rhs = numbers = self.numbers
         rec = {
-            "n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m,
-            "count_A": self.count_a, "count_B": self.count_b,
-            "coeff_lhs": self.coeff_lhs, "coeff_rhs": self.coeff_rhs,
+            "n": p.n, "k": p.k, "d": p.d, "m": p.m,
+            "count_A": count_a, "count_B": count_b, "coeff_lhs": coeff_lhs, "coeff_rhs": coeff_rhs,
             "bijection": self.bijection_ok,
-            "pass": self.error is None and len(numbers) == 1 and self.bijection_ok is not False,
+            "pass": self.error is None and len(set(numbers)) == 1 and self.bijection_ok is not False,
         }
         if self.error is not None:
             rec["error"] = self.error
-        if timing:
-            rec["elapsed"] = self.elapsed
+        if elapsed is not None:
+            rec["elapsed"] = elapsed
         return rec
 
 
-def verify_point(params: ClassParams, members_a: list[Partition], members_b: list[Partition], lhs, rhs) -> VerifyReport:
+def verify_point(params: ClassParams, members_a: list, members_b: list, coeff_lhs: int, coeff_rhs: int) -> VerifyReport:
     """Check one grid point: counts, series coefficients, bijection round trip.
 
     members_a and members_b are the point's members of A and of B, split
-    from the partitions of params.n by members_by_k; lhs and rhs are the
-    series of (k, d, m) truncated at degree >= params.n, so q^n is read by
-    index: the exponent checks of coefficient() could never fail here. The
-    caller times the point.
+    from the partitions of params.n by members_by_k; coeff_lhs and
+    coeff_rhs are the q^n coefficients of the two sides of the identity
+    at its (k, d, m). The caller times the point.
     """
     bijection_ok = error = None
     if params.d >= 2:
@@ -100,10 +88,7 @@ def verify_point(params: ClassParams, members_a: list[Partition], members_b: lis
             bijection_ok = closed and images == set(members_b)
         except ParteqError as exc:
             error = f"{type(exc).__name__}: {exc}"
-    n = params.n
-    return VerifyReport(
-        params, len(members_a), len(members_b), lhs.coefficients[n], rhs.coefficients[n], bijection_ok, error
-    )
+    return VerifyReport(params, (len(members_a), len(members_b), coeff_lhs, coeff_rhs), bijection_ok, error)
 
 
 def _emit(records, fmt: str, out) -> None:
@@ -148,12 +133,15 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_verify(args) -> int:
-    ns = _parse_range(args.n)
-    kdms = list(itertools.product(_parse_range(args.k), _parse_range(args.d), _parse_range(args.m)))
+    ns, ks, ds, ms = map(_parse_range, (args.n, args.k, args.d, args.m))
     # ClassParams rejects n < 0 and k, d, m < 1; the first point carries
     # every lower bound, so a bad one fails here, before the budget walk,
     # which counts the partitions of each n at O(n²) apiece
-    ClassParams(ns[0], *kdms[0])
+    ClassParams(ns[0], ks[0], ds[0], ms[0])
+    # sized from the bounds: len() of a range longer than 2^63 raises OverflowError
+    if (ks.stop - ks.start) * (ds.stop - ds.start) * (ms.stop - ms.start) > MAX_POINTS:
+        raise DomainError(f"the k, d and m ranges make more than {MAX_POINTS} points")
+    kdms = list(itertools.product(ks, ds, ms))
     # p(n) never decreases, so the n within the budget are a prefix of the
     # range, and the walk stops at the first n over it (a bad cap is a DomainError here)
     within = 0
@@ -164,12 +152,13 @@ def cmd_verify(args) -> int:
             break
         within += 1
     status = BudgetExceeded.exit_code if ns[within:] else EXIT_PASS
-    # each (k, d, m) with its two series, built to the last n within the
-    # budget; with no n within it, no record reads a series and none is built
+    # each (k, d, m) with the coefficient tuples of its two series, built to the
+    # last n within the budget, so q^n is read by index and needs no check; with
+    # no n within it, no record reads a series and none is built
     points = []
     if within:
         top = ns[within - 1]
-        points = [(kdm, lhs_series(*kdm, top), rhs_series(*kdm, top)) for kdm in kdms]
+        points = [(kdm, lhs_series(*kdm, top).coefficients, rhs_series(*kdm, top).coefficients) for kdm in kdms]
 
     def records():
         nonlocal status
@@ -185,9 +174,8 @@ def cmd_verify(args) -> int:
                 if split is None:
                     split = splits[d, m] = members_by_k(partitions, d, m)
                 a, b = split
-                report = verify_point(params, a.get(k, []), b.get(k, []), lhs, rhs)
-                report.elapsed = time.perf_counter() - start
-                rec = report.to_record(timing=args.timing)
+                report = verify_point(params, a.get(k, []), b.get(k, []), lhs[n], rhs[n])
+                rec = report.to_record(time.perf_counter() - start if args.timing else None)
                 if not rec["pass"]:
                     status = EXIT_FAIL
                 yield rec
@@ -197,8 +185,8 @@ def cmd_verify(args) -> int:
                 check_budget(n, args.budget)
             except BudgetExceeded as exc:
                 for kdm in kdms:
-                    report = VerifyReport(ClassParams(n, *kdm), error=f"BudgetExceeded: {exc}", elapsed=0.0)
-                    yield report.to_record(timing=args.timing)
+                    report = VerifyReport(ClassParams(n, *kdm), (None,) * 4, None, f"BudgetExceeded: {exc}")
+                    yield report.to_record(0.0 if args.timing else None)
 
     _emit(records(), args.format, sys.stdout)
     return status

@@ -129,8 +129,9 @@ def inverse_without_input_check_18():
     """φ⁻¹ without its input check to n = 18, past tier-1's n = 12.
 
     It returns exactly on the reference members of B and raises on every
-    other partition, so its final membership check of λ catches all that
-    its input check would have.
+    other partition, so its final membership check of λ, together with
+    _glaisher_inverse's multiplicity check on δ, catches all that its
+    input check would have.
     """
     from test_bijection import inverse_without_input_check
 

@@ -277,10 +277,13 @@ def inverse_without_input_check(N):
 
     At every grid point (k <= 6, d 2..4, m <= 8), phi_inverse must return
     exactly on the members of B, by the reference definition, and raise on
-    every other partition: its final membership check of lam catches all
-    that its input check would have. Each returned trace's mu_star holds k
-    at least d times, which phi_inverse does not check by itself. Returns
-    the number of calls that returned. Tier-1 runs N = 12 and tests/deep.py N = 18.
+    every other partition: its final membership check of lam, together
+    with _glaisher_inverse's multiplicity check on delta, catches all that
+    its input check would have. The membership check alone does not: at
+    (6, 1, 2, 2), kappa = 2^2 1^2 is outside B, delta = 2^2 folds to 1^4,
+    and lam = 2 1^4 is in A. Each returned trace's mu_star holds k at least
+    d times, which phi_inverse does not check by itself. Returns the number
+    of calls that returned. Tier-1 runs N = 12 and tests/deep.py N = 18.
     """
     returned = 0
     with mock.patch("parteq.bijection.is_in_B", lambda p, params: True):

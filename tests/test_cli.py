@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from parteq.bijection import phi
-from parteq.classes import ClassParams, count_partitions, enumerate_A, members_by_k
+from parteq.classes import ClassParams, count_partitions, enumerate_A, enumerate_partitions, members_by_k
 from parteq import cli
 from parteq.cli import main
 from parteq.errors import ParteqError
@@ -296,6 +296,19 @@ def test_verify_bad_bound_fails_before_the_budget_walk(monkeypatch, capsys, flag
         assert error["message"].startswith(f"{flag[2:]} must be >= ")
 
 
+def test_verify_refuses_a_grid_over_the_cap_before_the_budget_walk(monkeypatch, capsys):
+    checked = []
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", lambda n, cap: checked.append(n) or check_budget(n, cap))
+    monkeypatch.setattr(cli, "MAX_POINTS", 8)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--k", "1..2", "--d", "1..2", "--m", "1..2", "--json")
+    assert code == 0 and len(out.splitlines()) == 8 and checked == [3]
+    code, out, err = run(capsys, "verify", "--n", "3", "--k", "1..2", "--d", "1..2", "--m", "1..3", "--json")
+    assert code == 2
+    assert out == "" and checked == [3]
+    assert err == json.dumps({"error": "DomainError", "message": "the k, d and m ranges make more than 8 points"}) + "\n"
+
+
 def test_start_up_imports_no_heavy_module():
     # dataclasses pulls in inspect, ast, dis and tokenize; typing and csv
     # are large too, and a parteq process pays for each before any work.
@@ -498,6 +511,23 @@ def test_verify_fails_when_oracles_disagree_with_no_phi_fault(monkeypatch, capsy
         assert all(rec["pass"] is True for rec in records if rec["n"] != 5)
 
 
+def test_verify_point_takes_the_two_coefficients():
+    # (6, 1, 2, 2) has four members in each class; verify_point is handed
+    # the q^n coefficients, and the record compares all four numbers
+    partitions = list(enumerate_partitions(6))
+    a, b = members_by_k(partitions, 2, 2)
+    assert len(a[1]) == len(b[1]) == 4
+    params = ClassParams(6, 1, 2, 2)
+    rec = cli.verify_point(params, a[1], b[1], 4, 4).to_record(None)
+    assert rec == {"n": 6, "k": 1, "d": 2, "m": 2, "count_A": 4, "count_B": 4, "coeff_lhs": 4, "coeff_rhs": 4,
+                   "bijection": True, "pass": True}
+    rec = cli.verify_point(params, a[1], b[1], 4, 5).to_record(None)
+    assert rec["coeff_rhs"] == 5 and rec["bijection"] is True and rec["pass"] is False and "error" not in rec
+    a, b = members_by_k(partitions, 1, 2)
+    rec = cli.verify_point(ClassParams(6, 1, 1, 2), a[1], b[1], len(a[1]), len(b[1])).to_record(0.5)
+    assert rec["bijection"] is None and rec["pass"] is True and rec["elapsed"] == 0.5
+
+
 def test_series_reports_first_difference(monkeypatch, capsys):
     def off_at_5(k, d, m, N):
         coeffs = list(rhs_series(k, d, m, N).coefficients)
@@ -625,6 +655,13 @@ def test_series_degree_too_large_to_allocate_exits_2(capsys, N, argv):
         pytest.param(["verify", "--n", "3", "--k", "0", "--d", "2", "--m", "2"], id="verify-k-0"),
         pytest.param(["verify", "--n", "1_0", "--k", "1", "--d", "2", "--m", "2"], id="verify-n-underscore"),
         pytest.param(["verify", "--n", "5", "--k", "1", "--d", "2", "--m", "1", "--json", "--csv"], id="verify-json-csv"),
+        # a (k, d, m) grid past cli.MAX_POINTS, refused before product() copies
+        # the ranges: too long for len() (10^20), too long to copy (10^18), or
+        # three ranges in bounds
+        pytest.param(["verify", "--n", "0", "--k", f"1..{10**20}", "--d", "2", "--m", "1"], id="verify-k-huge"),
+        pytest.param(["verify", "--n", "0", "--k", "1", "--d", f"1..{10**18}", "--m", "1"], id="verify-d-huge"),
+        pytest.param(["verify", "--n", "0", "--k", "1", "--d", "2", "--m", f"1..{10**20}"], id="verify-m-huge"),
+        pytest.param(["verify", "--n", "0", "--k", "1..100", "--d", "1..100", "--m", "1..101"], id="verify-grid-over-cap"),
         pytest.param(["map", "3", "--params", "\u0663,1,2,2"], id="params-arabic-digit"),
         pytest.param(["series", "--k", "\u0663", "--d", "2", "--m", "2"], id="series-k-arabic-digit"),
     ],
@@ -736,6 +773,29 @@ def test_verify_timing_adds_only_elapsed(capsys):
         elapsed = rec.pop("elapsed")
         assert isinstance(elapsed, float) and elapsed >= 0
     assert "".join(json.dumps(rec) + "\n" for rec in records) == plain
+
+
+def test_verify_makes_each_record_once(monkeypatch, capsys):
+    # 13 n · 2 k · 2 d: the 44 points of n <= 10 are verified, and the 8 of
+    # n = 11, 12 refused; to_record alone makes every record and its verdict
+    calls = Counter()
+    verify_point, to_record = cli.verify_point, cli.VerifyReport.to_record
+
+    def counting_point(*args):
+        calls["verify_point"] += 1
+        return verify_point(*args)
+
+    def counting_record(report, elapsed):
+        calls["to_record"] += 1
+        return to_record(report, elapsed)
+
+    monkeypatch.setattr(cli, "verify_point", counting_point)
+    monkeypatch.setattr(cli.VerifyReport, "to_record", counting_record)
+    code, out, _ = run(capsys, "verify", *BUDGET_SWEEP, "--timing")
+    assert code == 3
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 52 and sum("error" in rec for rec in records) == 8
+    assert calls == Counter({"verify_point": 44, "to_record": 52})
 
 
 def test_verify_checks_each_n_against_the_budget_once(monkeypatch, capsys):
