@@ -217,7 +217,7 @@ def cmd_count(args) -> int:
         value = sum(1 for _ in members(params))
     else:
         build = lhs_series if args.cls == "A" else rhs_series
-        value = build(params.k, params.d, params.m, params.n).coefficient(params.n)
+        value = build(params.k, params.d, params.m, params.n).coefficients[params.n]
     print(value)
     return EXIT_PASS
 

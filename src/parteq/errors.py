@@ -26,17 +26,15 @@ class DomainError(ParteqError, ValueError):
     """Argument outside the domain of a map (bad modulus, bad parts, ...)."""
 
 
-def check_int(name: str, value, low: int | None = None) -> None:
+def check_int(name: str, value, low: int) -> None:
     """Raise DomainError unless value is exactly an int, not a bool, and >= low.
 
     Exactly int: a bool, a float or an int subclass would pass the
-    comparison and then render, hash or index as something else. Without
-    low, only the type is checked, for a caller whose range check raises
-    its own error.
+    comparison and then render, hash or index as something else.
     """
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
+    if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
@@ -111,11 +109,3 @@ class BudgetExceeded(ParteqError, RuntimeError):
     """An enumeration would produce more partitions than the configured cap."""
 
     exit_code = 3
-
-
-class DegreeMismatch(ParteqError, ValueError):
-    """Binary series operation on series with different truncation degrees."""
-
-
-class OutOfRange(ParteqError, IndexError):
-    """Coefficient index beyond the truncation degree."""

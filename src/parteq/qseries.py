@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .errors import DegreeMismatch, DomainError, OutOfRange, Value, check_int
+from .errors import DomainError, Value, check_int
 
 # the deepest series degree: one coefficient tuple is then 8 MB of pointers
 MAX_DEGREE = 10**6
@@ -55,12 +55,6 @@ class TruncatedSeries(Value, fields=("coefficients",)):
         if e <= N:
             coeffs[e] = 1
         return cls(tuple(coeffs))
-
-    def coefficient(self, e: int) -> int:
-        check_int("exponent", e)
-        if not 0 <= e <= self.truncation_degree:
-            raise OutOfRange(f"exponent {e} outside [0, {self.truncation_degree}]")
-        return self.coefficients[e]
 
     def times_factor(self, e: int) -> "TruncatedSeries":
         """Multiply by (1 - q^e): c'_i = c_i - c_{i-e}, as one map over the tail."""
@@ -144,7 +138,7 @@ def solutionI_sides(k: int, N: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def first_difference(s: TruncatedSeries, t: TruncatedSeries) -> tuple[int, int, int] | None:
     """(exponent, coeff_s, coeff_t) at the first disagreement, or None."""
     if s.truncation_degree != t.truncation_degree:
-        raise DegreeMismatch("cannot compare series of different degrees")
+        raise DomainError("cannot compare series of different degrees")
     if s.coefficients == t.coefficients:
         return None
     # unequal tuples of one length differ somewhere, so the loop returns

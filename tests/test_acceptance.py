@@ -140,7 +140,7 @@ def test_criterion_6_triple_oracle_agreement():
                 rhs_series(params.k, params.d, params.m, N),
             )
         lhs, rhs = cache[key]
-        if lhs.coefficient(params.n) != len(a) or rhs.coefficient(params.n) != len(b):
+        if lhs.coefficients[params.n] != len(a) or rhs.coefficients[params.n] != len(b):
             ok = False
             break
     report("6 triple-oracle agreement", ok)

@@ -84,8 +84,7 @@ def test_params_reject_non_integers(fields):
 
 # Every entry point that takes an integer from a library caller, as a call
 # of the one integer under test (all others valid) and that integer's
-# lower bound, or None where an int out of range raises OutOfRange instead
-# (a coefficient index).
+# lower bound.
 ENTRY_POINTS = {
     "ClassParams.n": (lambda v: ClassParams(v, 1, 2, 1), 0),
     "ClassParams.k": (lambda v: ClassParams(3, v, 2, 1), 1),
@@ -103,7 +102,6 @@ ENTRY_POINTS = {
     "solutionI_sides.N": (lambda v: solutionI_sides(1, v), 0),
     "monomial.N": (lambda v: TruncatedSeries.monomial(1, v), 0),
     "monomial.e": (lambda v: TruncatedSeries.monomial(v, 4), 0),
-    "coefficient.e": (lambda v: lhs_series(2, 2, 4, 10).coefficient(v), None),
     "finite_glaisher_forward.d": (lambda v: finite_glaisher_forward(Partition.parse("3^5"), v, 8), 2),
     "finite_glaisher_forward.m": (lambda v: finite_glaisher_forward(Partition.parse("1^3"), 2, v), 1),
     "finite_glaisher_inverse.d": (lambda v: finite_glaisher_inverse(Partition.parse("4"), v, 4), 2),
@@ -127,9 +125,8 @@ ENTRY_POINTS = {
     ("entry", "kind"),
     [
         (entry, kind)
-        for entry, (_, low) in ENTRY_POINTS.items()
+        for entry in ENTRY_POINTS
         for kind in ("below-bound", "bool", "float")
-        if low is not None or kind != "below-bound"
     ],
 )
 def test_entry_points_reject_non_int_or_below_bound(entry, kind):
@@ -349,7 +346,7 @@ def test_count_A_witness():
     assert is_in_A(lam, ClassParams(123, 7, 3, 4))
     from parteq.qseries import lhs_series
 
-    assert lhs_series(7, 3, 4, 123).coefficient(123) >= 1
+    assert lhs_series(7, 3, 4, 123).coefficients[123] >= 1
 
 
 def test_equinumerosity_spot_checks():

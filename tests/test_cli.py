@@ -111,6 +111,15 @@ def test_count_series(capsys):
     assert out.strip() == "3"
 
 
+@pytest.mark.parametrize("cls", ["A", "B"])
+def test_count_series_at_max_degree(capsys, cls):
+    # q^n is read by index at n = MAX_DEGREE. At k = 1, d = 2, m = 1, A is one
+    # even part plus ones and B is parts <= 2 with at least two 1s: floor(n/2) each
+    code, out, _ = run(capsys, "count", "--params", "1000000,1,2,1", "--class", cls, "--method", "series")
+    assert code == 0
+    assert out.strip() == "500000"
+
+
 def test_count_methods_agree(capsys):
     values = []
     for method in ("enumerate", "series"):
@@ -535,7 +544,7 @@ def test_series_reports_first_difference(monkeypatch, capsys):
         return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setattr("parteq.cli.rhs_series", off_at_5)
-    a = lhs_series(2, 2, 2, 10).coefficient(5)
+    a = lhs_series(2, 2, 2, 10).coefficients[5]
     code, out, err = run(capsys, "series", "--k", "2", "--d", "2", "--m", "2", "--N", "10")
     assert code == 1
     assert err == ""
