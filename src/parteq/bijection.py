@@ -5,7 +5,9 @@ by d) and o (the rest), conjugates mu, splits the conjugate into a bounded
 piece and a rescaled piece, applies a finite-bound variant of Glaisher's
 map to o, and reassembles. The inverse undoes each step. Both directions
 work on entry tuples throughout, with a Partition only for lambda and
-kappa, and record every intermediate subpartition in a trace.
+kappa, and record every intermediate subpartition in a trace. At d = 1
+every part is divisible by d, so o and delta are empty and phi is
+conjugation.
 
 The finite-bound Glaisher map truncates the base-d expansion of each
 multiplicity N_j at the unique exponent L_j with m < j*d^L_j <= m*d,
@@ -17,14 +19,7 @@ from __future__ import annotations
 import json
 
 from .classes import ClassParams, is_in_A, is_in_B
-from .errors import (
-    DomainError,
-    InternalError,
-    NotInClassA,
-    NotInClassB,
-    UnsupportedModulus,
-    check_int,
-)
+from .errors import DomainError, InternalError, NotInClassA, NotInClassB, check_int
 from .partition import Partition, _conjugate, _render, canonical
 
 
@@ -59,12 +54,6 @@ class BijectionTrace:
         }, indent=indent)
 
 
-def _check_modulus(d: int) -> None:
-    # not check_int: a bad modulus raises its own type, UnsupportedModulus
-    if type(d) is not int or d < 2:
-        raise UnsupportedModulus(f"modulus must be an integer >= 2, got {d!r}")
-
-
 def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     """Finite-bound Glaisher map.
 
@@ -74,7 +63,7 @@ def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:
     d^(L_j - 1); what remains above becomes the overflow multiplicity of
     the part j*d^L_j.
     """
-    _check_modulus(d)
+    check_int("d", d, 2)
     check_int("m", m, 1)
     return Partition._trusted(_glaisher_forward(o.entries, d, m))
 
@@ -112,7 +101,7 @@ def finite_glaisher_inverse(delta: Partition, d: int, m: int) -> Partition:
     Requires: all parts <= m*d, every part <= m occurring fewer than d
     times. Each part i = j*d^l (d not dividing j) folds back onto j.
     """
-    _check_modulus(d)
+    check_int("d", d, 2)
     check_int("m", m, 1)
     return Partition._trusted(_glaisher_inverse(delta.entries, d, m))
 
@@ -128,6 +117,9 @@ def _glaisher_inverse(entries: tuple[tuple[int, int], ...], d: int, m: int) -> t
         if part <= m and mult >= d:
             raise DomainError(f"part {part} <= {m} occurs {mult} >= {d} times")
         j, scale = part, 1
+        # at d = 1 this loop would never end; phi_inverse gets here at d = 1
+        # only with an empty delta, as every multiplicity is 0 mod 1 and no
+        # B member has a part in (min(m, k), m*d]
         while j % d == 0:
             j //= d
             scale *= d
@@ -152,7 +144,6 @@ def _split_by_divisibility(entries: tuple[tuple[int, int], ...], d: int) -> tupl
 
 def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
     """Forward bijection A(n,k,d,m) -> B(n,k,d,m)."""
-    _check_modulus(params.d)
     if not is_in_A(lam, params):
         raise NotInClassA(f"{lam.render()!r} is not in A{(params.n, params.k, params.d, params.m)}")
     d, k, m = params.d, params.k, params.m
@@ -194,7 +185,6 @@ def phi(lam: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]
 
 def phi_inverse(kappa: Partition, params: ClassParams) -> tuple[Partition, BijectionTrace]:
     """Inverse bijection B(n,k,d,m) -> A(n,k,d,m)."""
-    _check_modulus(params.d)
     if not is_in_B(kappa, params):
         raise NotInClassB(f"{kappa.render()!r} is not in B{(params.n, params.k, params.d, params.m)}")
     d, k, m = params.d, params.k, params.m

@@ -46,7 +46,7 @@ class VerifyReport:
     def __init__(self, params: ClassParams, numbers: tuple, bijection_ok: bool | None, error: str | None):
         self.params = params
         self.numbers = numbers  # (count_A, count_B, coeff_lhs, coeff_rhs), which the verdict compares
-        self.bijection_ok = bijection_ok  # None when d = 1 (not applicable)
+        self.bijection_ok = bijection_ok  # None when d = 1: verify skips phi there, so those records keep their pinned bytes
         self.error = error
 
     def to_record(self, elapsed: float | None) -> dict:

@@ -83,10 +83,6 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class UnsupportedModulus(DomainError):
-    """The constructive bijection requires a modulus of at least 2."""
-
-
 class NotInClassA(ParteqError, ValueError):
     """Input partition is not a member of the A-class for the given params."""
 

@@ -118,7 +118,9 @@ def refined_claim_28():
     """The refined claim to n = 28, past tier-1's n = 18, weight by weight.
 
     |o(λ)| over A, δ(κ) over B and the factored series agree at every grid
-    (k, d, m), and φ keeps |o(λ)| = δ(φ(λ)) on every A member.
+    (k, d, m), and φ keeps |o(λ)| = δ(φ(λ)) on every A member; so do the
+    joint statistics (|o(λ)|, λ's largest part divisible by d) and
+    (δ(κ), t(κ)), with their product count.
     """
     from test_refined_claim import weight_distributions
 

@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 
 from parteq.bijection import BijectionTrace, finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
-from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B
-from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB, UnsupportedModulus
-from parteq.partition import Partition, _weigh
+from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B, members_by_k
+from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB
+from parteq.partition import Partition, _conjugate, _weigh
 
 from conftest import (
     EMPTY,
@@ -53,7 +53,8 @@ def test_glaisher_forward_binary():
 def test_glaisher_forward_rejects_divisible_part():
     with pytest.raises(DomainError):
         glaisher_forward(Partition.parse("6 1"), 3)
-    with pytest.raises(UnsupportedModulus):
+    # at d = 1 the kernel's loop would never end; phi passes it only empty entries there
+    with pytest.raises(DomainError):
         glaisher_forward(Partition.parse("1"), 1)
 
 
@@ -63,6 +64,8 @@ def test_glaisher_inverse_examples():
     assert glaisher_inverse(Partition.parse("6 3"), 3) == Partition.parse("2^3 1^3")
     with pytest.raises(DomainError):
         glaisher_inverse(Partition.parse("2^3"), 3)
+    with pytest.raises(DomainError):
+        glaisher_inverse(Partition.parse("1"), 1)
 
 
 def test_glaisher_round_trip_random():
@@ -208,8 +211,8 @@ def test_phi_single_part_kd():
 def test_phi_rejects_non_members():
     with pytest.raises(NotInClassA):
         phi(Partition.parse("1"), ClassParams(7, 2, 2, 4))
-    with pytest.raises(UnsupportedModulus):
-        phi(Partition.parse("2 1"), ClassParams(3, 2, 1, 4))
+    # at d = 1 a partition into exactly k parts is in A, and phi conjugates it
+    assert phi(Partition.parse("2 1"), ClassParams(3, 2, 1, 4))[0] == Partition.parse("2 1")
 
 
 def test_phi_inverse_golden_examples():
@@ -225,6 +228,9 @@ def test_phi_inverse_golden_examples():
 def test_phi_inverse_rejects_non_members():
     with pytest.raises(NotInClassB):
         phi_inverse(Partition.parse("1"), ClassParams(7, 2, 2, 4))
+    # at d = 1, B holds the partitions with largest part k
+    with pytest.raises(NotInClassB):
+        phi_inverse(Partition.parse("2^2"), ClassParams(4, 1, 1, 2))
 
 
 # Each self-check of phi and phi_inverse, made to fail on its own by
@@ -386,6 +392,28 @@ def test_phi_bijective_on_small_grid():
                         lam, _ = phi_inverse(kappa, params)
                         forward, _ = phi(lam, params)
                         assert forward == kappa
+
+
+def test_phi_at_modulus_1_is_conjugation_on_the_grid():
+    # at d = 1, A(n,k,1,m) is the partitions into exactly k parts and
+    # B(n,k,1,m) those with largest part k; o and delta are empty
+    points = members = 0
+    for n in range(29):
+        partitions = list(enumerate_partitions(n))
+        for m in range(1, 9):
+            members_a, members_b = members_by_k(partitions, 1, m)
+            for k in range(1, 7):
+                params = ClassParams(n, k, 1, m)
+                images = set()
+                for lam in members_a.get(k, []):
+                    kappa, _ = phi(lam, params)
+                    assert kappa.entries == _conjugate(lam.entries), (params, lam)
+                    assert phi_inverse(kappa, params)[0] == lam, (params, lam)
+                    images.add(kappa)
+                assert images == set(members_b.get(k, [])), params
+                points += 1
+                members += len(images)
+    assert (points, members) == (1392, 50264)
 
 
 def test_phi_stops_depending_on_m_once_m_reaches_n():

@@ -708,12 +708,9 @@ def test_every_error_type_exits_with_its_status(monkeypatch, capsys, cls):
     assert err == json.dumps({"error": cls.__name__, "message": "boom"}) + "\n"
 
 
-def test_map_modulus_1_names_unsupported_modulus(capsys):
-    code, out, err = run(capsys, "map", "2 1", "--params", "3,2,1,4")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "UnsupportedModulus"
+def test_map_modulus_1_is_conjugation(capsys):
+    assert run(capsys, "map", "4 2 1", "--params", "7,3,1,5") == (0, "3 2 1^2\n", "")
+    assert run(capsys, "map", "3 2 1^2", "--params", "7,3,1,5", "--inverse") == (0, "4 2 1\n", "")
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,6 @@ COMMANDS = [
     # one malformed input per error type the command reports
     ("map", "3x", "--params", "3,1,2,1"),
     ("series", "--k", "x"),
-    ("map", "3", "--params", "3,3,1,1"),
     ("map", "3", "--params", "3,1,2,4"),
     ("map", "3", "--params", "3,1,2,4", "--inverse"),
     ("count", "--params", "40,1,2,4", "--class", "A", "--budget", "10"),
