@@ -16,8 +16,6 @@ leaving an unrestricted overflow multiplicity on the part j*d^L_j.
 
 from __future__ import annotations
 
-import json
-
 from .classes import ClassParams, is_in_A, is_in_B
 from .errors import DomainError, InternalError, NotInClassA, NotInClassB, check_int
 from .partition import Partition, _conjugate, _render, canonical
@@ -39,6 +37,8 @@ class BijectionTrace:
         self.direction = direction  # "forward" | "inverse"
 
     def to_json(self, indent: int | None = None) -> str:
+        import json
+
         lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = self.pieces
         return json.dumps({
             "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},

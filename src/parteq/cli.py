@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import re
 import sys
@@ -100,6 +99,8 @@ def _emit(records, fmt: str, out) -> None:
     to every record.
     """
     if fmt == "json":
+        import json  # here, not at the top: only --json, --trace and an error need it, and every start-up would pay for it
+
         # a record is a flat dict, so no check for a circular reference is
         # needed, and the bytes are those of json.dumps(rec)
         encode = json.JSONEncoder(check_circular=False).encode
@@ -317,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except ParteqError as exc:
+        import json
+
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return exc.exit_code
     except BrokenPipeError:

@@ -319,17 +319,59 @@ def test_verify_refuses_a_grid_over_the_cap_before_the_budget_walk(monkeypatch, 
 
 
 def test_start_up_imports_no_heavy_module():
-    # dataclasses pulls in inspect, ast, dis and tokenize; typing and csv
-    # are large too, and a parteq process pays for each before any work.
-    # -S keeps a .pth file in site-packages from importing typing first
+    # dataclasses pulls in inspect, ast, dis and tokenize; typing, csv and
+    # json are large too, and a parteq process pays for each before any
+    # work. Commands that write no JSON never load json; verify --json
+    # does, which shows the check can fail. -S keeps a .pth file in
+    # site-packages from importing typing first
+    runs = [
+        ["map", LAMBDA_1, "--params", "123,7,3,4"],
+        ["count", "--params", "7,2,2,7", "--class", "B", "--method", "series"],
+        ["series", "--k", "7", "--d", "3", "--m", "4", "--N", "60"],
+        ["verify", "--n", "0..6", "--k", "1..2", "--d", "1..2", "--m", "1..2"],
+        ["verify", "--n", "0..6", "--k", "1..2", "--d", "1..2", "--m", "1..2", "--json"],
+    ]
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import io, sys; sys.path.insert(0, sys.argv[1])\n"
         "import parteq.cli; parteq.cli.build_parser()\n"
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules))))"
+        "heavy = {'dataclasses', 'inspect', 'typing', 'csv', 'json'}\n"
+        "loaded = [sorted(heavy & set(sys.modules))]\n"
+        "sys.stdout = io.StringIO()\n"
+        f"for argv in {runs!r}:\n"
+        "    assert parteq.cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted(heavy & set(sys.modules)))\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(loaded)"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    assert proc.stdout == repr([[], [], [], [], [], ["json"]]) + "\n"
+
+
+def run_bare(*argv):
+    """main(argv) in a fresh -I -S interpreter, which has not loaded json when main starts."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from parteq.cli import main\n"
+        "assert 'json' not in sys.modules\n"
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC, *argv], capture_output=True, text=True, timeout=60)
+
+
+def test_json_is_loaded_where_json_is_written(capsys):
+    # pytest has loaded json already, so only a fresh interpreter shows that
+    # each path that writes JSON imports it for itself
+    proc = run_bare("map", LAMBDA_1, "--params", "123,7,3,4", "--trace")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == "4beb221c5dbc4f7cba915fc863c1bb17cdb726e2eaeed7413098aaf15123fd55"
+    argv = ["verify", "--n", "0..8", "--k", "1..2", "--d", "1..3", "--m", "1..3", "--json"]
+    proc = run_bare(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, *argv)[1]
+    proc = run_bare("series", "--k", "x")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == json.dumps({"error": "DomainError", "message": "argument --k: invalid integer value: 'x'"}) + "\n"
 
 
 SWEEP_FROM_0 = ["verify", "--k", "1", "--d", "2", "--m", "1", "--budget", "0", "--json", "--n"]
