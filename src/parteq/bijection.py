@@ -21,6 +21,16 @@ from .errors import DomainError, InternalError, NotInClassA, NotInClassB, check_
 from .partition import Partition, _conjugate, _render, canonical
 
 
+# One trace as the line json.dumps writes for its dict, in field order. A
+# rendered piece holds only digits, spaces and ^, and the direction is
+# "forward" or "inverse", so no value needs escaping.
+_TRACE_JSON = (
+    '{"params": {"n": %d, "k": %d, "d": %d, "m": %d}, "direction": "%s", '
+    '"lambda": "%s", "mu": "%s", "o": "%s", "mu_star": "%s", "mu_star_0": "%s", '
+    '"epsilon": "%s", "delta": "%s", "kappa": "%s"}'
+)
+
+
 class BijectionTrace:
     """Every intermediate subpartition of one application of the bijection.
 
@@ -36,22 +46,10 @@ class BijectionTrace:
         self.params = params
         self.direction = direction  # "forward" | "inverse"
 
-    def to_json(self, indent: int | None = None) -> str:
-        import json
-
-        lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = self.pieces
-        return json.dumps({
-            "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},
-            "direction": self.direction,
-            "lambda": _render(lam),
-            "mu": _render(mu),
-            "o": _render(o),
-            "mu_star": _render(mu_star),
-            "mu_star_0": _render(mu_star_0),
-            "epsilon": _render(epsilon),
-            "delta": _render(delta),
-            "kappa": _render(kappa),
-        }, indent=indent)
+    def to_json(self) -> str:
+        """The trace as one line of JSON, through _TRACE_JSON."""
+        p = self.params
+        return _TRACE_JSON % (p.n, p.k, p.d, p.m, self.direction, *map(_render, self.pieces))
 
 
 def finite_glaisher_forward(o: Partition, d: int, m: int) -> Partition:

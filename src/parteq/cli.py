@@ -201,7 +201,10 @@ def cmd_map(args) -> int:
     else:
         image, trace = phi(p, params)
     if args.trace:
-        print(trace.to_json(indent=2))
+        import json
+
+        # the field order is written once, in to_json's line; this indents it
+        print(json.dumps(json.loads(trace.to_json()), indent=2))
     else:
         print(image.render())
     return EXIT_PASS

@@ -70,6 +70,11 @@ def _weigh(entries: tuple[tuple[int, int], ...]) -> int:
     return weight
 
 
+def _offset(tokens: list[str], index: int) -> int:
+    """The character offset of tokens[index] in " ".join(tokens)."""
+    return sum(map(len, tokens[:index])) + index
+
+
 class Partition(Value, fields=("entries",)):
     """A partition of a nonnegative integer, as (part, multiplicity) pairs.
 
@@ -148,21 +153,25 @@ class Partition(Value, fields=("entries",)):
         """Parse the canonical text format; strict inverse of render()."""
         if type(text) is not str:
             raise DomainError(f"expected partition text, got a {type(text).__name__}")
+        tokens = text.split(" ") if text else ()
         entries: list[tuple[int, int]] = []
-        pos = 0
-        for token in text.split(" ") if text else ():
-            match = _TOKEN_RE.fullmatch(token)
+        fullmatch = _TOKEN_RE.fullmatch
+        # a token's index is len(entries) when it is read; its character
+        # offset is worked out only for an error message
+        for token in tokens:
+            match = fullmatch(token)
             if match is None:
-                raise ParseError(f"malformed token {quote(token)} at position {pos}")
+                raise ParseError(f"malformed token {quote(token)} at position {_offset(tokens, len(entries))}")
+            part, mult = match.groups()
             try:
-                part = int(match.group(1))
-                mult = int(match.group(2) or 1)
+                part = int(part)
+                mult = int(mult) if mult else 1
             except ValueError:
                 # the token is all ASCII digits, so this is the interpreter's
                 # limit on the digits int() reads from text
-                raise ParseError(f"integer too long in token at position {pos}") from None
-            if entries and part >= entries[-1][0]:
-                raise ParseError(f"parts must be strictly descending at position {pos}")
+                raise ParseError(f"integer too long in token at position {_offset(tokens, len(entries))}") from None
+            if entries and part >= prev:
+                raise ParseError(f"parts must be strictly descending at position {_offset(tokens, len(entries))}")
             entries.append((part, mult))
-            pos += len(token) + 1
+            prev = part
         return Partition._trusted(tuple(entries))

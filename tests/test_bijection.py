@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from parteq.bijection import BijectionTrace, finite_glaisher_forward, finite_glaisher_inverse, phi, phi_inverse
 from parteq.classes import ClassParams, enumerate_A, enumerate_B, enumerate_partitions, is_in_A, is_in_B, members_by_k
 from parteq.errors import DomainError, InternalError, NotInClassA, NotInClassB
-from parteq.partition import Partition, _conjugate, _weigh
+from parteq.partition import Partition, _conjugate, _render, _weigh
 
 from conftest import (
     EMPTY,
@@ -361,8 +362,6 @@ def test_trace_decomposition_invariants():
 
 
 def test_trace_json_round_trip():
-    import json
-
     _, t = phi(LAMBDA_1, PARAMS_1)
     doc = json.loads(t.to_json())
     assert doc["direction"] == "forward"
@@ -458,9 +457,27 @@ def test_multiplicity_congruence_in_forward_trace():
             assert multiplicity(kappa, i) % params.d == multiplicity(field(t, "delta"), i) % params.d
 
 
-# sha256 of every trace's to_json() line, newline-terminated: phi on each
-# A member and phi_inverse on each B member, n <= 14, k <= 6, 2 <= d <= 4,
-# m <= 8, in generator order. Any change to what a trace records, or to
+def grid_traces(ds: range):
+    """Every trace of the standard grid at n <= 14 and d in ds, in generator order.
+
+    phi on each A member and phi_inverse on each B member, with n <= 14,
+    k <= 6 and m <= 8.
+    """
+    for n in range(0, 15):
+        members = list(enumerate_partitions(n))
+        for k in range(1, 7):
+            for d in ds:
+                for m in range(1, 9):
+                    params = ClassParams(n, k, d, m)
+                    for lam in members:
+                        if is_in_A(lam, params):
+                            yield phi(lam, params)[1]
+                        if is_in_B(lam, params):
+                            yield phi_inverse(lam, params)[1]
+
+
+# sha256 of every trace's to_json() line, newline-terminated, over
+# grid_traces at 2 <= d <= 4. Any change to what a trace records, or to
 # how it renders, shows here.
 TRACE_DIGEST = "ce253b1e5c8f2f094b73c9d2dd42e0e0266d631fd07715ca2497671d83ccc67c"
 
@@ -468,20 +485,36 @@ TRACE_DIGEST = "ce253b1e5c8f2f094b73c9d2dd42e0e0266d631fd07715ca2497671d83ccc67c
 def test_trace_json_digest_on_the_grid():
     digest = hashlib.sha256()
     count = 0
-    for n in range(0, 15):
-        members = list(enumerate_partitions(n))
-        for k in range(1, 7):
-            for d in range(2, 5):
-                for m in range(1, 9):
-                    params = ClassParams(n, k, d, m)
-                    for lam in members:
-                        traces = []
-                        if is_in_A(lam, params):
-                            traces.append(phi(lam, params)[1])
-                        if is_in_B(lam, params):
-                            traces.append(phi_inverse(lam, params)[1])
-                        for trace in traces:
-                            digest.update(trace.to_json().encode() + b"\n")
-                            count += 1
+    for trace in grid_traces(range(2, 5)):
+        digest.update(trace.to_json().encode() + b"\n")
+        count += 1
     assert count == 12134
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+def reference_trace_json(trace: BijectionTrace) -> str:
+    """The trace's dict in field order, through json.dumps: the bytes to_json's template must give."""
+    p = trace.params
+    lam, mu, o, mu_star, mu_star_0, epsilon, delta, kappa = map(_render, trace.pieces)
+    return json.dumps({
+        "params": {"n": p.n, "k": p.k, "d": p.d, "m": p.m},
+        "direction": trace.direction,
+        "lambda": lam,
+        "mu": mu,
+        "o": o,
+        "mu_star": mu_star,
+        "mu_star_0": mu_star_0,
+        "epsilon": epsilon,
+        "delta": delta,
+        "kappa": kappa,
+    })
+
+
+def test_trace_json_equals_json_dumps_at_modulus_1():
+    # TRACE_DIGEST pins d = 2..4; this is the d = 1 quarter of the same grid,
+    # where o and delta are empty
+    count = 0
+    for trace in grid_traces(range(1, 2)):
+        assert trace.to_json() == reference_trace_json(trace), (trace.pieces[0], trace.params, trace.direction)
+        count += 1
+    assert count == 6192

@@ -56,17 +56,21 @@ def test_map_trace_output(capsys):
     assert doc["delta"] == "11 8 7^4 5 2^2 1"
 
 
-# sha256 of `parteq map --trace` stdout on both golden examples; any
-# change to the trace's fields, their order or their rendering shows here
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        pytest.param([LAMBDA_1, "--params", "123,7,3,4"],
-                     "4beb221c5dbc4f7cba915fc863c1bb17cdb726e2eaeed7413098aaf15123fd55", id="lambda-1-forward"),
-        pytest.param([KAPPA_2, "--params", "189,4,3,7", "--inverse"],
-                     "5303630087ba34a13e991d4f003e716c94c9dacf165930191110e9fec3f2ddd4", id="kappa-2-inverse"),
-    ],
-)
+# sha256 of `parteq map --trace` stdout on both golden examples and on a
+# d = 1 point, where phi is conjugation; any change to the trace's fields,
+# their order or their rendering shows here. CI's installed-script step
+# checks each digest too (tests/test_workflow.py keeps the two in step).
+TRACE_BYTES = {
+    "lambda-1-forward": ([LAMBDA_1, "--params", "123,7,3,4"],
+                         "4beb221c5dbc4f7cba915fc863c1bb17cdb726e2eaeed7413098aaf15123fd55"),
+    "kappa-2-inverse": ([KAPPA_2, "--params", "189,4,3,7", "--inverse"],
+                        "5303630087ba34a13e991d4f003e716c94c9dacf165930191110e9fec3f2ddd4"),
+    "d-1-forward": (["4 2 1", "--params", "7,3,1,5"],
+                    "ff9fdf2dcb90a17a03ce7b004b5d66f90593867a911551c4c1a6eaa932c76a13"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", list(TRACE_BYTES.values()), ids=list(TRACE_BYTES))
 def test_map_trace_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "map", *argv, "--trace")
     assert code == 0
@@ -364,7 +368,7 @@ def test_json_is_loaded_where_json_is_written(capsys):
     # each path that writes JSON imports it for itself
     proc = run_bare("map", LAMBDA_1, "--params", "123,7,3,4", "--trace")
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == "4beb221c5dbc4f7cba915fc863c1bb17cdb726e2eaeed7413098aaf15123fd55"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TRACE_BYTES["lambda-1-forward"][1]
     argv = ["verify", "--n", "0..8", "--k", "1..2", "--d", "1..3", "--m", "1..3", "--json"]
     proc = run_bare(*argv)
     assert (proc.returncode, proc.stderr) == (0, "")

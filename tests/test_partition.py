@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -87,18 +88,29 @@ def test_parse_rejects_non_str(text):
         Partition.parse(text)
 
 
-def test_parse_error_position():
-    with pytest.raises(ParseError, match="at position 2"):
-        Partition.parse("5 x")
-
-
 # more digits than int() reads from text by default (4300)
 LONG = "9" * 5000
 
 
+# the bad token follows multi-character tokens, so an offset counted in
+# tokens (2) or one off by a space (6, 8) differs from the true 7; the
+# match is anchored at both ends, so 70..79 cannot pass for 7 either
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("12^3 7 x", "malformed token 'x' at position 7", id="malformed"),
+        pytest.param("12^3 7 7", "parts must be strictly descending at position 7", id="not-descending"),
+        pytest.param("12^3 7 " + LONG, "integer too long in token at position 7", id="overlong"),
+    ],
+)
+def test_parse_error_position(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        Partition.parse(text)
+
+
 @pytest.mark.parametrize("text", [pytest.param(f"7 {LONG}", id="part"), pytest.param(f"7 5^{LONG}", id="multiplicity")])
 def test_parse_rejects_overlong_integer_at_its_token(text):
-    with pytest.raises(ParseError, match="at position 2"):
+    with pytest.raises(ParseError, match="^integer too long in token at position 2$"):
         Partition.parse(text)
 
 

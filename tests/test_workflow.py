@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import deep
+from test_cli import TRACE_BYTES
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -30,3 +31,14 @@ def test_ci_benchmark_smoke_runs_every_workload():
     assert sorted(trace for _, trace in loops) == ["0", "1"]
     for names, _ in loops:
         assert Counter(names.split()) == Counter(w["name"] for w in benchmark["workloads"])
+
+
+def test_ci_installed_script_checks_every_pinned_trace_digest():
+    # a digest pinned in test_map_trace_bytes_pinned but not checked on the
+    # installed script would let the two drift apart unseen
+    step = WORKFLOW.read_text().split("- name: Installed console script", 1)[1].split("\n      - name:", 1)[0]
+    for name, (argv, digest) in TRACE_BYTES.items():
+        partition, *flags = argv
+        command = re.escape(f'parteq map "{partition}" {" ".join(flags)} --trace > ')
+        check = rf'{command}(trace-\d+\.json)\n\s*echo "{digest}  \1" \| sha256sum -c -\n'
+        assert re.search(check, step), name
