@@ -68,6 +68,23 @@ class ClassParams(Value, fields=("n", "k", "d", "m")):
         object.__setattr__(self, "m", m)
 
     @classmethod
+    def _trusted(cls, n: int, k: int, d: int, m: int) -> "ClassParams":
+        """The params (n, k, d, m), without checking them.
+
+        Only for values already checked: cmd_verify's points, whose ranges
+        ascend from a first point it built through ClassParams(...). Any
+        other caller goes through ClassParams(...).
+        """
+        params = object.__new__(cls)
+        # set the way __init__ sets them; see Partition._trusted
+        set_field = object.__setattr__
+        set_field(params, "n", n)
+        set_field(params, "k", k)
+        set_field(params, "d", d)
+        set_field(params, "m", m)
+        return params
+
+    @classmethod
     def parse(cls, text: str) -> "ClassParams":
         """Parse the comma-joined quadruple 'n,k,d,m'."""
         fields = text.split(",")

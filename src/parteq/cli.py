@@ -38,6 +38,17 @@ DEFAULT_BUDGET = 10_000_000
 # it refuses a grid whose points and series cannot be allocated, not a slow one
 MAX_POINTS = 10**6
 
+# A verify record with no error as the line json.dumps writes: its values
+# are ints, true, false, null and the float elapsed, none of which needs
+# escaping. A record with an error goes through json, as its message can
+# hold any character
+_RECORD_JSON = (
+    '{"n": %d, "k": %d, "d": %d, "m": %d, "count_A": %d, "count_B": %d, '
+    '"coeff_lhs": %d, "coeff_rhs": %d, "bijection": %s, "pass": %s%s}\n'
+)
+_ELAPSED_JSON = ', "elapsed": %r'
+_LITERAL = {True: "true", False: "false", None: "null"}
+
 
 class VerifyReport:
     """Outcome of one grid point, made once from plain values."""
@@ -76,15 +87,18 @@ def verify_point(params: ClassParams, members_a: list, members_b: list, coeff_lh
     bijection_ok = error = None
     if params.d >= 2:
         try:
+            # the images and B as entry tuples, which hash and compare in C
+            # where a Partition goes through Value's hooks
             images = set()
             closed = True
             for lam in members_a:
                 kappa, _ = phi(lam, params)
-                images.add(kappa)
+                images.add(kappa.entries)
                 back, _ = phi_inverse(kappa, params)
                 if back.entries != lam.entries:
                     closed = False
-            bijection_ok = closed and images == set(members_b)
+            # an empty B builds no set: most points of a sweep have no members
+            bijection_ok = closed and (images == {p.entries for p in members_b} if members_b else not images)
         except ParteqError as exc:
             error = f"{type(exc).__name__}: {exc}"
     return VerifyReport(params, (len(members_a), len(members_b), coeff_lhs, coeff_rhs), bijection_ok, error)
@@ -105,7 +119,16 @@ def _emit(records, fmt: str, out) -> None:
         # needed, and the bytes are those of json.dumps(rec)
         encode = json.JSONEncoder(check_circular=False).encode
         for rec in records:
-            out.write(encode(rec) + "\n")
+            if "error" in rec:
+                out.write(encode(rec) + "\n")
+            else:
+                elapsed = rec.get("elapsed")
+                out.write(_RECORD_JSON % (
+                    rec["n"], rec["k"], rec["d"], rec["m"],
+                    rec["count_A"], rec["count_B"], rec["coeff_lhs"], rec["coeff_rhs"],
+                    _LITERAL[rec["bijection"]], _LITERAL[rec["pass"]],
+                    "" if elapsed is None else _ELAPSED_JSON % elapsed,
+                ))
         return
     records = list(records)
     # A record has an error key only when it has an error, and elapsed is
@@ -169,7 +192,7 @@ def cmd_verify(args) -> int:
             # first needs it and counts in that point's elapsed
             splits = {}
             for (k, d, m), lhs, rhs in points:
-                params = ClassParams(n, k, d, m)
+                params = ClassParams._trusted(n, k, d, m)
                 start = time.perf_counter()
                 split = splits.get((d, m))
                 if split is None:
@@ -186,7 +209,7 @@ def cmd_verify(args) -> int:
                 check_budget(n, args.budget)
             except BudgetExceeded as exc:
                 for kdm in kdms:
-                    report = VerifyReport(ClassParams(n, *kdm), (None,) * 4, None, f"BudgetExceeded: {exc}")
+                    report = VerifyReport(ClassParams._trusted(n, *kdm), (None,) * 4, None, f"BudgetExceeded: {exc}")
                     yield report.to_record(0.0 if args.timing else None)
 
     _emit(records(), args.format, sys.stdout)

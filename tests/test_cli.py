@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from parteq.bijection import phi
-from parteq.classes import ClassParams, count_partitions, enumerate_A, enumerate_partitions, members_by_k
+from parteq.classes import ClassParams, count_partitions, enumerate_A, enumerate_partitions, is_in_B, members_by_k
 from parteq import cli
 from parteq.cli import main
 from parteq.errors import ParteqError
+from parteq.partition import Partition
 from parteq.qseries import TruncatedSeries, lhs_series, rhs_series
 
 from conftest import EMPTY, weight
@@ -269,6 +270,38 @@ def test_emit_json_writes_json_dumps_of_each_record():
     buf = io.StringIO()
     cli._emit(iter(records), "json", buf)
     assert buf.getvalue() == "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+@pytest.mark.parametrize("timing", [[], ["--timing"]], ids=["plain", "timing"])
+def test_verify_json_is_json_dumps_of_every_record_shape(monkeypatch, capsys, timing):
+    # _emit writes a record with an error through json and any other
+    # through a format line; each line must still be json.dumps(rec).
+    # p(8) = 22 is over the budget, and a φ⁻¹ that sends every κ to one
+    # partition fails every point with members at d = 2
+    argv = ["verify", "--n", "5..8", "--k", "1..2", "--d", "1..2", "--m", "1..2", "--budget", "15", "--json", *timing]
+    emit = cli._emit
+    records = []
+
+    def keeping(recs, fmt, out):
+        recs = list(recs)
+        records.extend(recs)
+        emit(iter(recs), fmt, out)
+
+    monkeypatch.setattr(cli, "_emit", keeping)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    fixed = next(enumerate_A(ClassParams(6, 1, 2, 2)))
+    monkeypatch.setattr(cli, "phi_inverse", lambda kappa, params: (fixed, None))
+    failing_code, failing_out, _ = run(capsys, *argv)
+    assert failing_code == 1
+    assert out + failing_out == "".join(json.dumps(rec) + "\n" for rec in records)
+    shapes = {
+        "refused" if "error" in rec else {True: "passing", None: "d = 1", False: "failing"}[rec["bijection"]]
+        for rec in records
+    }
+    assert shapes == {"passing", "d = 1", "refused", "failing"}
+    assert all(("elapsed" in rec) == bool(timing) for rec in records)
+    assert all(rec["count_A"] is None for rec in records if "error" in rec)
 
 
 def test_verify_rejects_huge_n_quickly():
@@ -531,6 +564,25 @@ def test_verify_bijection_false_when_images_miss_b(monkeypatch, capsys):
     code, rec = verify_bijection_record(capsys)
     assert code == 1
     assert len(seen) == 4
+    assert rec["bijection"] is False and rec["pass"] is False and "error" not in rec
+    assert rec["count_A"] == rec["count_B"] == rec["coeff_lhs"] == rec["coeff_rhs"] == 4
+
+
+def test_verify_bijection_false_when_b_holds_a_stranger(monkeypatch, capsys):
+    # B keeps its four members' count, but one is swapped for a partition
+    # of 6 outside B: every round trip closes and the sizes agree, so only
+    # a comparison of the image set with B itself sees it
+    stranger = Partition(((6, 1),))
+    assert not is_in_B(stranger, ClassParams(6, 1, 2, 2))
+
+    def swapped(partitions, d, m):
+        a, b = members_by_k(partitions, d, m)
+        b[1] = [*b[1][:-1], stranger]
+        return a, b
+
+    monkeypatch.setattr(cli, "members_by_k", swapped)
+    code, rec = verify_bijection_record(capsys)
+    assert code == 1
     assert rec["bijection"] is False and rec["pass"] is False and "error" not in rec
     assert rec["count_A"] == rec["count_B"] == rec["coeff_lhs"] == rec["coeff_rhs"] == 4
 

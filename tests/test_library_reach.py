@@ -17,6 +17,8 @@ MODULES = (errors, partition, classes, bijection, qseries, cli)
 
 UNENTERED = {
     "errors.Value.__init_subclass__": "runs at import, when each value class is defined",
+    "errors.Value.__eq__": "the value contract",
+    "errors.Value.__hash__": "the value contract",
     "errors.Value.__repr__": "the value contract",
     "errors.Value.__setattr__": "the value contract",
     "errors.Value.__delattr__": "the value contract",

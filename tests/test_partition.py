@@ -171,6 +171,20 @@ def test_trusted_and_validated_partitions_are_interchangeable():
             assert repr(copied) == repr(original)
 
 
+def test_trusted_and_validated_params_are_interchangeable():
+    params = ClassParams(123, 7, 3, 4)
+    trusted = ClassParams._trusted(123, 7, 3, 4)
+    assert trusted == params and params == trusted
+    assert hash(trusted) == hash(params)
+    assert repr(trusted) == repr(params) == "ClassParams(n=123, k=7, d=3, m=4)"
+    assert list(vars(trusted).items()) == list(vars(params).items()) == [("n", 123), ("k", 7), ("d", 3), ("m", 4)]
+    for value in (trusted, params):
+        for name in ("n", "k", "d", "m"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        assert vars(value) == {"n": 123, "k": 7, "d": 3, "m": 4}
+
+
 @pytest.mark.parametrize(
     "make, fields, text",
     [
